@@ -16,12 +16,10 @@ from .model import (
     LabeledSpectrum,
     SpectrumLabel,
     build_factor_cov,
-    build_hpca_matrix,
     compare_eigenvectors,
     cumulative_variance,
     eigenportfolio_series,
     fit_hpca,
-    hpca_spectrum,
     inter_sector_corr,
 )
 from .panel import (
@@ -47,7 +45,6 @@ from .rmt import (
 from .sectors import (
     SectorModel,
     SectorPartition,
-    embed,
     factor_panel,
     fit_all_sectors,
     fit_sector,
@@ -88,20 +85,17 @@ __all__ = [
     "StandardizedPanel",
     "build_comparison",
     "build_factor_cov",
-    "build_hpca_matrix",
     "compare_eigenvectors",
     "correlation",
     "cumulative_variance",
     "defactor",
     "default_market_spec",
     "eigenportfolio_series",
-    "embed",
     "factor_panel",
     "fit_all_sectors",
     "fit_hpca",
     "fit_sector",
     "generate",
-    "hpca_spectrum",
     "inter_sector_corr",
     "load_market_spec",
     "load_panel",

@@ -71,11 +71,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     doc = load_model_dict(args.model)
-    entries = doc["spectrum"]
-    top = len(entries) if args.top is None else max(1, min(args.top, len(entries)))
+    try:
+        rows = [(entry["eigenvalue"], entry["label"]) for entry in doc["spectrum"]]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed model file: no valid spectrum ({exc!r})") from None
+    top = len(rows) if args.top is None else max(1, min(args.top, len(rows)))
     print("rank\teigenvalue\tlabel")
-    for rank, entry in enumerate(entries[:top], start=1):
-        print(f"{rank}\t{entry['eigenvalue']!r}\t{entry['label']}")
+    for rank, (value, label) in enumerate(rows[:top], start=1):
+        print(f"{rank}\t{value!r}\t{label}")
     return EXIT_OK
 
 

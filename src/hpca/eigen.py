@@ -1,8 +1,9 @@
 """Symmetric eigendecomposition with a fixed ordering and sign convention.
 
-Every spectral computation in the package goes through ``sym_eig_sorted`` so
-that eigenvalue ordering, tie-breaking, and eigenvector signs are identical
-no matter which module asked for the decomposition.
+Every eigenvector computation in the package goes through ``sym_eig_sorted``
+so that eigenvalue ordering, tie-breaking, and eigenvector signs are
+identical no matter which module asked for the decomposition. Callers that
+need eigenvalues alone (the residual spectrum) use ``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -35,25 +36,6 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-def _fix_sign(column: np.ndarray) -> np.ndarray:
-    """Flip a unit vector so the sum of entries is >= 0.
-
-    When the sum is zero (to ``ZERO_SUM_TOL``) the first entry of
-    non-negligible magnitude is made positive instead.
-    """
-    total = float(column.sum())
-    if total > ZERO_SUM_TOL:
-        return column
-    if total < -ZERO_SUM_TOL:
-        return -column
-    nonzero = np.flatnonzero(np.abs(column) > ZERO_SUM_TOL)
-    if nonzero.size == 0:
-        nonzero = np.flatnonzero(column)
-    if nonzero.size and column[nonzero[0]] < 0:
-        return -column
-    return column
-
-
 def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
     """Decompose a real symmetric matrix deterministically.
 
@@ -70,33 +52,37 @@ def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
         The ordered, sign-fixed :class:`Spectrum`.
 
     Raises:
-        InputError: non-square input, non-finite entries, or asymmetry
-            beyond tolerance.
+        InputError: empty or non-square input, non-finite entries, or
+            asymmetry beyond tolerance.
     """
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InputError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InputError("matrix contains non-finite entries")
-    asym = float(np.abs(a - a.T).max()) if a.size else 0.0
+    asym = float(np.abs(a - a.T).max())
     if asym > SYMMETRY_TOL:
         raise InputError(f"matrix is not symmetric: max |A - A^T| = {asym:g}")
     a = 0.5 * (a + a.T)
 
     values, vectors = np.linalg.eigh(a)
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
+    values, vectors = values[::-1], vectors[:, ::-1]
 
     # Stable secondary sort so exactly-tied eigenvalues have a fixed order.
-    order = sorted(
-        range(values.shape[0]),
-        key=lambda k: (-values[k], int(np.argmax(np.abs(vectors[:, k])))),
-    )
+    order = np.lexsort((np.abs(vectors).argmax(axis=0), -values))
     values = values[order]
     vectors = vectors[:, order]
 
-    for k in range(vectors.shape[1]):
-        vectors[:, k] = _fix_sign(vectors[:, k])
+    # Sign rule: entry sum >= 0; when the sum is zero (to ``ZERO_SUM_TOL``),
+    # the first entry of non-negligible magnitude is made positive instead.
+    sums = np.ascontiguousarray(vectors.T).sum(axis=1)
+    large = np.abs(vectors) > ZERO_SUM_TOL
+    first = np.where(
+        large.any(axis=0), large.argmax(axis=0), (vectors != 0.0).argmax(axis=0)
+    )
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    flip = (sums < -ZERO_SUM_TOL) | ((np.abs(sums) <= ZERO_SUM_TOL) & (lead < 0.0))
+    vectors[:, flip] *= -1.0
 
     values.setflags(write=False)
     vectors.setflags(write=False)

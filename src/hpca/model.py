@@ -20,7 +20,7 @@ import numpy as np
 
 from .eigen import Spectrum, sym_eig_sorted
 from .errors import InputError, NumericalError
-from .panel import StandardizedPanel
+from .panel import StandardizedPanel, _gram_correlation, _text_stream
 from .sectors import SectorModel, SectorPartition, factor_panel, fit_all_sectors
 
 MULTI_SECTOR = "multi-sector"
@@ -46,11 +46,7 @@ def inter_sector_corr(factors: np.ndarray) -> np.ndarray:
     norms = np.sqrt((centered * centered).sum(axis=0))
     if (norms <= 0.0).any():
         raise NumericalError("zero-variance factor series")
-    unit = centered / norms
-    rho = unit.T @ unit
-    rho = 0.5 * (rho + rho.T)
-    np.fill_diagonal(rho, 1.0)
-    return rho
+    return _gram_correlation(centered / norms, 1.0)
 
 
 def assemble_hpca_matrix(
@@ -87,20 +83,6 @@ def assemble_hpca_matrix(
             raise InputError(f"correlation block for sector {k} has the wrong shape")
         matrix[np.ix_(members, members)] = block_correlations[k]
     return matrix
-
-
-def build_hpca_matrix(
-    models: Sequence[SectorModel],
-    factor_corr: np.ndarray,
-    partition: SectorPartition,
-) -> np.ndarray:
-    """Hierarchical matrix from fitted sector models (see module docstring)."""
-    return assemble_hpca_matrix(
-        partition,
-        [m.correlation for m in models],
-        [m.betas for m in models],
-        factor_corr,
-    )
 
 
 @dataclass(frozen=True)
@@ -192,7 +174,7 @@ class LabeledSpectrum:
 
 def assemble_spectrum(
     partition: SectorPartition,
-    sector_spectra: Sequence[Spectrum],
+    sector_spectra: Sequence[Spectrum | SectorModel],
     factor_cov: FactorCovariance,
     assets: Sequence[str],
 ) -> LabeledSpectrum:
@@ -201,7 +183,8 @@ def assemble_spectrum(
     The b multi-sector eigenvectors are mixtures of the embedded leading
     sector eigenvectors with the factor-covariance eigenvector weights; all
     higher-order sector eigenpairs embed unchanged. Entries are merged in
-    decreasing eigenvalue order, multi-sector first on exact ties.
+    decreasing eigenvalue order, multi-sector first on exact ties, then by
+    sector and order within the sector.
     """
     b = partition.n_sectors
     n = partition.n_assets
@@ -210,38 +193,36 @@ def assemble_spectrum(
     if factor_cov.n_sectors != b:
         raise InputError("factor covariance size does not match sector count")
 
+    # Entries 0..b-1 are multi-sector; then each sector's orders 2..s_k.
+    sizes = partition.sizes
+    kind = np.repeat([0, 1], [b, n - b])
+    sector = np.concatenate([np.arange(b), np.repeat(np.arange(b), sizes - 1)])
+    order = np.concatenate([np.zeros(b, dtype=int)] + [np.arange(1, s) for s in sizes])
+    values = np.concatenate(
+        [factor_cov.eigenvalues] + [spec.eigenvalues[1:] for spec in sector_spectra]
+    )
+    rank = np.lexsort((order, sector, kind, -values))
+    column = np.empty(n, dtype=int)
+    column[rank] = np.arange(n)
+
     leading = np.zeros((n, b))
-    for k in range(b):
-        leading[partition.members(k), k] = sector_spectra[k].eigenvectors[:, 0]
-    multi_vectors = leading @ factor_cov.eigenvectors
-
-    values: list[float] = list(map(float, factor_cov.eigenvalues))
-    vectors: list[np.ndarray] = [multi_vectors[:, r] for r in range(b)]
-    labels: list[SpectrumLabel] = [
-        SpectrumLabel(kind=MULTI_SECTOR, rank=r + 1) for r in range(b)
-    ]
-    sort_keys: list[tuple] = [
-        (-values[r], 0, r, 0) for r in range(b)
-    ]
-    for k in range(b):
+    vectors = np.zeros((n, n))
+    for k, spec in enumerate(sector_spectra):
         members = partition.members(k)
-        spec = sector_spectra[k]
-        for j in range(1, members.size):
-            w = np.zeros(n)
-            w[members] = spec.eigenvectors[:, j]
-            values.append(float(spec.eigenvalues[j]))
-            vectors.append(w)
-            labels.append(
-                SpectrumLabel(kind=SECTOR, sector=partition.labels[k], order=j + 1)
-            )
-            sort_keys.append((-values[-1], 1, k, j))
+        leading[members, k] = spec.eigenvectors[:, 0]
+        cols = column[(sector == k) & (kind == 1)]
+        vectors[np.ix_(members, cols)] = spec.eigenvectors[:, 1:]
+    vectors[:, column[:b]] = leading @ factor_cov.eigenvectors
 
-    order = sorted(range(n), key=lambda i: sort_keys[i])
+    labels = [SpectrumLabel(kind=MULTI_SECTOR, rank=r + 1) for r in range(b)] + [
+        SpectrumLabel(kind=SECTOR, sector=partition.labels[k], order=j + 1)
+        for k, j in zip(sector[b:].tolist(), order[b:].tolist())
+    ]
     return LabeledSpectrum(
         assets=tuple(assets),
-        eigenvalues=np.array([values[i] for i in order]),
-        eigenvectors=np.column_stack([vectors[i] for i in order]),
-        labels=tuple(labels[i] for i in order),
+        eigenvalues=values[rank],
+        eigenvectors=vectors,
+        labels=tuple(labels[i] for i in rank),
     )
 
 
@@ -254,26 +235,21 @@ class HpcaModel:
     sector_models: tuple[SectorModel, ...]
     factor_corr: np.ndarray
     factor_cov: FactorCovariance
-    matrix: np.ndarray
     spectrum: LabeledSpectrum
 
     @property
     def n_assets(self) -> int:
         return len(self.assets)
 
-
-def hpca_spectrum(
-    models: Sequence[SectorModel],
-    factor_cov: FactorCovariance,
-    partition: SectorPartition,
-    assets: Sequence[str],
-) -> LabeledSpectrum:
-    """Labeled spectrum from fitted sector models (no dense solve)."""
-    spectra = [
-        Spectrum(eigenvalues=m.eigenvalues, eigenvectors=m.eigenvectors)
-        for m in models
-    ]
-    return assemble_spectrum(partition, spectra, factor_cov, assets)
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n hierarchical matrix, assembled anew on each access."""
+        return assemble_hpca_matrix(
+            self.partition,
+            [m.correlation for m in self.sector_models],
+            [m.betas for m in self.sector_models],
+            self.factor_corr,
+        )
 
 
 def fit_hpca(panel: StandardizedPanel, partition: SectorPartition) -> HpcaModel:
@@ -281,17 +257,14 @@ def fit_hpca(panel: StandardizedPanel, partition: SectorPartition) -> HpcaModel:
     models = fit_all_sectors(panel, partition)
     factors = factor_panel(models)
     rho = inter_sector_corr(factors)
-    matrix = build_hpca_matrix(models, rho, partition)
     factor_cov = build_factor_cov([m.leading_eigenvalue for m in models], rho)
-    spectrum = hpca_spectrum(models, factor_cov, partition, panel.assets)
     return HpcaModel(
         assets=panel.assets,
         partition=partition,
         sector_models=models,
         factor_corr=rho,
         factor_cov=factor_cov,
-        matrix=matrix,
-        spectrum=spectrum,
+        spectrum=assemble_spectrum(partition, models, factor_cov, panel.assets),
     )
 
 
@@ -426,8 +399,11 @@ def load_model_dict(directory: str | Path) -> dict:
         path = path / MODEL_FILENAME
     if not path.exists():
         raise InputError(f"no model file at {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    with _text_stream(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"model file {path} is not valid JSON: {exc}") from None
 
 
 def write_eigenvector_table(

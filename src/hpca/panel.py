@@ -10,9 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -108,10 +109,28 @@ class CorrelationMatrix:
         return self.values.shape[0]
 
 
-def _open_text(source: str | Path | TextIO) -> tuple[TextIO, bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
+@contextmanager
+def _text_stream(source: str | Path | TextIO, mode: str = "r") -> Iterator[TextIO]:
+    """Open a path as UTF-8 text (closed on exit), or use the stream given.
+
+    Bytes that are not UTF-8 surface as :class:`InputError`.
+    """
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, mode, encoding="utf-8", newline="") as fh:
+                yield fh
+        else:
+            yield source
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{source} is not UTF-8 text: {exc.reason}") from None
+
+
+def _gram_correlation(x: np.ndarray, divisor: float) -> np.ndarray:
+    """``x^T x / divisor``, symmetrized, with the diagonal set to exactly 1."""
+    c = x.T @ x / divisor
+    c = 0.5 * (c + c.T)
+    np.fill_diagonal(c, 1.0)
+    return c
 
 
 def _is_missing(cell: str) -> bool:
@@ -133,8 +152,7 @@ def load_panel(
             a non-numeric cell (reported with its row and column), or a
             ragged row.
     """
-    stream, owned = _open_text(source)
-    try:
+    with _text_stream(source) as stream:
         first = stream.readline()
         if not first:
             raise InputError("empty input: no header row")
@@ -178,9 +196,6 @@ def load_panel(
                 parsed.append(value)
             dates.append(row[0].strip())
             rows.append(parsed)
-    finally:
-        if owned:
-            stream.close()
 
     if len(rows) < 2:
         raise InputError(
@@ -205,19 +220,11 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO, delimiter: str =
     Values are written with full round-trip precision, so a write/load
     cycle reproduces the panel bit for bit.
     """
-    stream, owned = (
-        (open(dest, "w", encoding="utf-8", newline=""), True)
-        if isinstance(dest, (str, Path))
-        else (dest, False)
-    )
-    try:
+    with _text_stream(dest, "w") as stream:
         writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
         writer.writerow(("date",) + panel.assets)
         for date, row in zip(panel.dates, panel.values):
             writer.writerow([date] + [repr(float(x)) for x in row])
-    finally:
-        if owned:
-            stream.close()
 
 
 def standardize(panel: ReturnsPanel) -> StandardizedPanel:
@@ -251,8 +258,5 @@ def correlation(panel: StandardizedPanel) -> CorrelationMatrix:
     """
     if not isinstance(panel, StandardizedPanel):
         raise InputError("correlation expects a standardized panel")
-    x = panel.values
-    c = x.T @ x / (panel.n_periods - 1)
-    c = 0.5 * (c + c.T)
-    np.fill_diagonal(c, 1.0)
+    c = _gram_correlation(panel.values, panel.n_periods - 1)
     return CorrelationMatrix(values=c, assets=panel.assets)

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import sym_eig_sorted
 from .errors import InputError, NumericalError
-from .panel import StandardizedPanel
+from .panel import StandardizedPanel, _gram_correlation
 
 DEFAULT_GRID_SIZE = 51
 
@@ -210,11 +209,10 @@ def residual_spectrum(residuals: ResidualPanel, ref: MpReference) -> ResidualRep
     t, n = x.shape
     if t < 2 or n < 1:
         raise InputError(f"residual panel too small: {x.shape}")
-    corr = x.T @ x / (t - 1)
-    corr = 0.5 * (corr + corr.T)
-    np.fill_diagonal(corr, 1.0)
-    spectrum = sym_eig_sorted(corr)
-    ev = spectrum.eigenvalues
+    if not np.isfinite(x).all():
+        raise InputError("residual panel contains non-finite values")
+    corr = _gram_correlation(x, t - 1)
+    ev = np.linalg.eigvalsh(corr)[::-1]
 
     width = ref.bin_width
     if width <= 0.0:

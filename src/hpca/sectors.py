@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigen import sym_eig_sorted
 from .errors import InputError
-from .panel import StandardizedPanel
+from .panel import StandardizedPanel, _gram_correlation, _text_stream
 
 logger = logging.getLogger(__name__)
 
@@ -27,14 +27,11 @@ class SectorPartition:
     """Assignment of every asset to exactly one sector.
 
     ``labels`` fixes the sector order; ``assignment[i]`` is the sector index
-    of asset ``i``. ``parents`` optionally attaches a coarser grouping label
-    to each sector (unused by the two-layer model, kept so deeper
-    hierarchies can be layered on later).
+    of asset ``i``.
     """
 
     labels: tuple[str, ...]
     assignment: np.ndarray
-    parents: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         self.assignment = np.asarray(self.assignment, dtype=int)
@@ -51,8 +48,6 @@ class SectorPartition:
         empty = [self.labels[k] for k in np.flatnonzero(counts == 0)]
         if empty:
             raise InputError(f"empty sector(s): {', '.join(empty)}")
-        if self.parents is not None and len(self.parents) != b:
-            raise InputError("parents must supply one label per sector")
 
     @property
     def n_assets(self) -> int:
@@ -108,12 +103,7 @@ class SectorPartition:
 
 def load_sector_map(source: str | Path | TextIO) -> dict[str, str]:
     """Read a two-column ``asset,sector`` file (header required)."""
-    stream, owned = (
-        (open(source, "r", encoding="utf-8", newline=""), True)
-        if isinstance(source, (str, Path))
-        else (source, False)
-    )
-    try:
+    with _text_stream(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None or len(header) < 2:
@@ -130,12 +120,9 @@ def load_sector_map(source: str | Path | TextIO) -> dict[str, str]:
             if asset in mapping and mapping[asset] != sector:
                 raise InputError(f"conflicting sector for asset {asset!r}")
             mapping[asset] = sector
-        if not mapping:
-            raise InputError("sector map contains no entries")
-        return mapping
-    finally:
-        if owned:
-            stream.close()
+    if not mapping:
+        raise InputError("sector map contains no entries")
+    return mapping
 
 
 @dataclass
@@ -186,9 +173,7 @@ def fit_sector(
         raise InputError(f"sector index {k} out of range")
     members = partition.members(k)
     x = panel.values[:, members]
-    c = x.T @ x / (panel.n_periods - 1)
-    c = 0.5 * (c + c.T)
-    np.fill_diagonal(c, 1.0)
+    c = _gram_correlation(x, panel.n_periods - 1)
     spectrum = sym_eig_sorted(c)
     lam1 = float(spectrum.eigenvalues[0])
     v1 = spectrum.eigenvectors[:, 0]
@@ -211,23 +196,6 @@ def fit_all_sectors(
 ) -> tuple[SectorModel, ...]:
     """Fit every sector of the partition, in sector order."""
     return tuple(fit_sector(panel, partition, k) for k in range(partition.n_sectors))
-
-
-def embed(vector: np.ndarray, partition: SectorPartition, k: int) -> np.ndarray:
-    """Lift a sector-level vector to the full asset space.
-
-    Entries land at the sector's member positions; all other coordinates are
-    zero, so norms are preserved.
-    """
-    vector = np.asarray(vector, dtype=float)
-    members = partition.members(k)
-    if vector.shape != (members.size,):
-        raise InputError(
-            f"vector length {vector.shape} does not match sector size {members.size}"
-        )
-    out = np.zeros(partition.n_assets)
-    out[members] = vector
-    return out
 
 
 def factor_panel(models: Sequence[SectorModel]) -> np.ndarray:

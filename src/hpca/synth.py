@@ -19,7 +19,7 @@ import numpy as np
 from .eigen import Spectrum, sym_eig_sorted
 from .errors import InputError
 from .model import assemble_hpca_matrix
-from .panel import ReturnsPanel
+from .panel import ReturnsPanel, _text_stream
 from .sectors import SectorPartition
 
 PSD_TOL = -1e-10
@@ -276,13 +276,13 @@ def market_spec_from_dict(doc: dict) -> MarketSpec:
             n_periods=int(doc["n_periods"]),
             seed=int(doc.get("seed", 0)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed market spec: {exc}") from exc
 
 
 def load_market_spec(path: str | Path) -> MarketSpec:
     """Read a market spec from a JSON document."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _text_stream(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -203,3 +203,39 @@ class TestErrorPaths:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("hpca ")
+
+
+class TestInputFailuresReportCleanly:
+    """Bad input files exit 1 with an ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def assert_input_error(*args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpca", *map(str, args)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text", ['{"spectrum": [', "{}"])
+    def test_spectrum_on_bad_model_file(self, tmp_path, text):
+        (tmp_path / "model.json").write_text(text)
+        self.assert_input_error("spectrum", "--model", tmp_path)
+
+    def test_simulate_with_non_integer_size(self, tmp_path, small_spec_file):
+        doc = json.loads(small_spec_file.read_text())
+        doc["sectors"][0]["size"] = "abc"
+        small_spec_file.write_text(json.dumps(doc))
+        self.assert_input_error(
+            "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
+        )
+
+    @pytest.mark.parametrize("bad", ["panel", "sectors"])
+    def test_fit_on_non_utf8_file(self, tmp_path, simulated, bad):
+        inputs = dict(zip(("panel", "sectors"), simulated))
+        inputs[bad].write_bytes(b"\xff\xfe" + inputs[bad].read_bytes())
+        self.assert_input_error(
+            "fit", "--panel", inputs["panel"], "--sectors", inputs["sectors"],
+            "--out", tmp_path / "model",
+        )

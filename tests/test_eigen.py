@@ -46,6 +46,8 @@ class TestErrors:
     def test_non_square(self):
         with pytest.raises(InputError):
             sym_eig_sorted(np.zeros((2, 3)))
+        with pytest.raises(InputError):
+            sym_eig_sorted(np.zeros((0, 0)))
 
     def test_non_finite(self):
         a = np.eye(3)

@@ -6,6 +6,7 @@ import pytest
 import helpers
 from hpca import (
     InputError,
+    ResidualPanel,
     ReturnsPanel,
     SectorPartition,
     defactor,
@@ -177,6 +178,20 @@ class TestResidualSpectrum:
         ref = mp_density(panel.n_assets, panel.n_periods)
         report = residual_spectrum(defactor(panel, model.factor[:, None]), ref)
         assert report.leading_eigenvalue < 0.5 * model.eigenvalues[0]
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_non_finite_residuals_rejected(self, n):
+        values = np.random.default_rng(12).standard_normal((50, n))
+        values[7, 0] = np.nan
+        residuals = ResidualPanel(
+            dates=tuple(f"d{i}" for i in range(50)),
+            assets=tuple(f"A{i}" for i in range(n)),
+            values=values,
+            model_type="custom",
+            cutoff=0,
+        )
+        with pytest.raises(InputError, match="non-finite"):
+            residual_spectrum(residuals, mp_density(n, 50))
 
     def test_histogram_bins_align_with_reference_grid(self):
         rng = np.random.default_rng(10)

@@ -12,7 +12,6 @@ from hpca import (
     SectorPartition,
     StandardizedPanel,
     default_market_spec,
-    embed,
     factor_panel,
     fit_all_sectors,
     fit_sector,
@@ -128,37 +127,6 @@ class TestSectorInvariants:
             assert abs(corr - model.betas[j]) <= 1e-10
 
 
-class TestEmbed:
-    def test_single_sector_is_identity(self):
-        part = partition_of([4])
-        v = np.array([0.5, 0.5, 0.5, 0.5])
-        np.testing.assert_array_equal(embed(v, part, 0), v)
-
-    def test_zero_padding_preserves_norm(self):
-        part = partition_of([2, 2])
-        v = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        out = embed(v, part, 1)
-        np.testing.assert_array_equal(out[:2], [0.0, 0.0])
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-15)
-
-    def test_embedded_eigenvectors_form_orthonormal_basis(self):
-        rng = np.random.default_rng(7)
-        panel = standardize_helper(rng, 60, 8)
-        part = partition_of([3, 1, 4])
-        models = fit_all_sectors(panel, part)
-        columns = []
-        for model in models:
-            for j in range(model.size):
-                columns.append(embed(model.eigenvectors[:, j], part, model.index))
-        basis = np.column_stack(columns)
-        gram = basis.T @ basis
-        assert np.abs(gram - np.eye(8)).max() <= 1e-10
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            embed(np.ones(3), partition_of([2, 2]), 0)
-
-
 class TestFactorPanel:
     def test_single_sector(self):
         rng = np.random.default_rng(8)
@@ -201,12 +169,6 @@ class TestPartition:
     def test_empty_sector_rejected(self):
         with pytest.raises(InputError):
             SectorPartition(labels=("a", "b"), assignment=np.zeros(3, dtype=int))
-
-    def test_parents_length_checked(self):
-        with pytest.raises(InputError):
-            SectorPartition(
-                labels=("a",), assignment=np.zeros(2, dtype=int), parents=("p", "q")
-            )
 
 
 class TestSectorMap:
