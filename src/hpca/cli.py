@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ from .model import (
     load_model_dict,
     save_model,
 )
-from .panel import correlation, load_panel, standardize, write_panel
+from .panel import _write_rows, correlation, load_panel, standardize, write_panel
 from .report import build_comparison, render_text, report_to_dict
 from .rmt import mp_density, mp_threshold, residual_spectrum, defactor
 from .sectors import SectorPartition, load_sector_map
@@ -93,13 +92,6 @@ def _cmd_compare(args) -> int:
     else:
         sys.stdout.write(render_text(report))
     return EXIT_OK
-
-
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _cmd_residuals(args) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .eigen import Spectrum, sym_eig_sorted
 from .errors import InputError, NumericalError
-from .panel import StandardizedPanel, _gram_correlation, _text_stream
+from .panel import StandardizedPanel, _gram_correlation, _text_stream, _write_rows
 from .sectors import SectorModel, SectorPartition, factor_panel, fit_all_sectors
 
 MULTI_SECTOR = "multi-sector"
@@ -415,8 +415,6 @@ def write_eigenvector_table(
     """
     count = min(count, spectrum.size)
     header = ["asset"] + [f"EV{r + 1}" for r in range(count)]
-    with open(dest, "w", encoding="utf-8", newline="") as fh:
-        fh.write(delimiter.join(header) + "\n")
-        for i, asset in enumerate(spectrum.assets):
-            row = [asset] + [repr(float(spectrum.eigenvectors[i, r])) for r in range(count)]
-            fh.write(delimiter.join(row) + "\n")
+    vectors = spectrum.eigenvectors[:, :count].tolist()
+    rows = ([a] + [repr(v) for v in vec] for a, vec in zip(spectrum.assets, vectors))
+    _write_rows(dest, header, rows, delimiter)

@@ -125,6 +125,14 @@ def _text_stream(source: str | Path | TextIO, mode: str = "r") -> Iterator[TextI
         raise InputError(f"{source} is not UTF-8 text: {exc.reason}") from None
 
 
+def _write_rows(dest: str | Path | TextIO, header, rows, delimiter: str = ",") -> None:
+    """Write a header and rows as delimited UTF-8 text, quoting cells as needed."""
+    with _text_stream(dest, "w") as stream:
+        writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _gram_correlation(x: np.ndarray, divisor: float) -> np.ndarray:
     """``x^T x / divisor``, symmetrized, with the diagonal set to exactly 1."""
     c = x.T @ x / divisor
@@ -220,11 +228,11 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO, delimiter: str =
     Values are written with full round-trip precision, so a write/load
     cycle reproduces the panel bit for bit.
     """
-    with _text_stream(dest, "w") as stream:
-        writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(("date",) + panel.assets)
-        for date, row in zip(panel.dates, panel.values):
-            writer.writerow([date] + [repr(float(x)) for x in row])
+    rows = (
+        [date] + [repr(float(x)) for x in row]
+        for date, row in zip(panel.dates, panel.values)
+    )
+    _write_rows(dest, ("date",) + panel.assets, rows, delimiter)
 
 
 def standardize(panel: ReturnsPanel) -> StandardizedPanel:

@@ -103,21 +103,6 @@ class ResidualPanel:
         return self.values.shape[1]
 
 
-def _first_dependent_column(design: np.ndarray) -> int:
-    """0-based index of the first factor column dependent on its predecessors.
-
-    ``design`` carries the intercept in column 0, so factor ``j`` sits at
-    design column ``j + 1``.
-    """
-    rank = 1
-    for j in range(1, design.shape[1]):
-        new_rank = np.linalg.matrix_rank(design[:, : j + 1])
-        if new_rank == rank:
-            return j - 1
-        rank = new_rank
-    return design.shape[1] - 2
-
-
 def defactor(
     panel: StandardizedPanel, factors: np.ndarray, model_type: str = "custom"
 ) -> ResidualPanel:
@@ -152,14 +137,18 @@ def defactor(
             cutoff=0,
         )
 
-    design = np.column_stack([np.ones(panel.n_periods), f])
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    # |R_jj| of the unpivoted QR is the distance of design column j from the
+    # span of the columns before it; column 0 is the intercept.
+    q, r = np.linalg.qr(np.column_stack([np.ones(panel.n_periods), f]))
+    spans = np.abs(np.diag(r))
+    tol = spans.max() * max(panel.n_periods, m + 1) * np.finfo(float).eps
+    dependent = np.flatnonzero(spans[1:] <= tol)
+    if dependent.size:
         raise InputError(
             "factor matrix is rank deficient: factor column "
-            f"{_first_dependent_column(design)} is linearly dependent"
+            f"{dependent[0]} is linearly dependent"
         )
-    coef, _, _, _ = np.linalg.lstsq(design, panel.values, rcond=None)
-    residuals = panel.values - design @ coef
+    residuals = panel.values - q @ (q.T @ panel.values)
 
     residuals -= residuals.mean(axis=0)
     stds = residuals.std(axis=0, ddof=1)

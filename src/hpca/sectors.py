@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .eigen import sym_eig_sorted
+from .eigen import Spectrum, sym_eig_sorted
 from .errors import InputError
 from .panel import StandardizedPanel, _gram_correlation, _text_stream
 
@@ -153,6 +153,11 @@ class SectorModel:
         return float(self.eigenvalues[0])
 
 
+def _leading_betas(spectrum: Spectrum) -> np.ndarray:
+    """Member betas on a block's leading factor: ``sqrt(lambda_1) * v_1``."""
+    return np.sqrt(float(spectrum.eigenvalues[0])) * spectrum.eigenvectors[:, 0]
+
+
 def fit_sector(
     panel: StandardizedPanel, partition: SectorPartition, k: int
 ) -> SectorModel:
@@ -175,9 +180,7 @@ def fit_sector(
     x = panel.values[:, members]
     c = _gram_correlation(x, panel.n_periods - 1)
     spectrum = sym_eig_sorted(c)
-    lam1 = float(spectrum.eigenvalues[0])
-    v1 = spectrum.eigenvectors[:, 0]
-    factor = x @ v1 / np.sqrt(lam1)
+    factor = x @ spectrum.eigenvectors[:, 0] / np.sqrt(spectrum.eigenvalues[0])
     return SectorModel(
         index=k,
         label=partition.labels[k],
@@ -186,7 +189,7 @@ def fit_sector(
         correlation=c,
         eigenvalues=spectrum.eigenvalues,
         eigenvectors=spectrum.eigenvectors,
-        betas=np.sqrt(lam1) * v1,
+        betas=_leading_betas(spectrum),
         factor=factor,
     )
 

@@ -3,8 +3,9 @@
 Panels are drawn from a jointly Gaussian distribution whose population
 correlation matrix is assembled exactly like the fitted hierarchical
 matrix: empirical-style blocks within sectors, scaled-beta products across
-sectors. The generator returns that population matrix alongside the panel
-so estimation tests have an exact oracle.
+sectors. Sampling works from that structure, a root of each sector block
+plus a b x b factor root, so no n x n matrix is formed or decomposed; the
+population matrix is assembled on access, as the tests' exact oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .eigen import Spectrum, sym_eig_sorted
 from .errors import InputError
 from .model import assemble_hpca_matrix
 from .panel import ReturnsPanel, _text_stream
-from .sectors import SectorPartition
+from .sectors import SectorPartition, _leading_betas
 
 PSD_TOL = -1e-10
 
@@ -135,26 +136,27 @@ class GroundTruth:
     """Population quantities behind a generated panel."""
 
     partition: SectorPartition
-    population_matrix: np.ndarray
     factor_correlation: np.ndarray
-    betas: np.ndarray
+    sector_correlations: tuple[np.ndarray, ...]
     sector_spectra: tuple[Spectrum, ...]
 
-
-def _partition_for(spec: MarketSpec) -> SectorPartition:
-    assignment = np.concatenate(
-        [np.full(s.size, k, dtype=int) for k, s in enumerate(spec.sectors)]
-    )
-    return SectorPartition(
-        labels=tuple(s.name for s in spec.sectors), assignment=assignment
-    )
+    @property
+    def population_matrix(self) -> np.ndarray:
+        """The dense n x n hierarchical matrix, assembled anew on each access."""
+        return assemble_hpca_matrix(
+            self.partition,
+            self.sector_correlations,
+            [_leading_betas(sp) for sp in self.sector_spectra],
+            self.factor_correlation,
+        )
 
 
 def _asset_names(spec: MarketSpec) -> tuple[str, ...]:
-    names = []
-    for k, s in enumerate(spec.sectors):
-        names.extend(f"S{k + 1:02d}A{j + 1:03d}" for j in range(s.size))
-    return tuple(names)
+    return tuple(
+        f"S{k + 1:02d}A{j + 1:03d}"
+        for k, s in enumerate(spec.sectors)
+        for j in range(s.size)
+    )
 
 
 def _date_labels(count: int) -> tuple[str, ...]:
@@ -163,56 +165,62 @@ def _date_labels(count: int) -> tuple[str, ...]:
 
 
 def ground_truth(spec: MarketSpec) -> GroundTruth:
-    """Population partition, blocks, betas, and hierarchical matrix of a spec."""
-    partition = _partition_for(spec)
-    blocks = [s.block_correlation() for s in spec.sectors]
-    spectra = tuple(sym_eig_sorted(block) for block in blocks)
-    betas_per_sector = [
-        np.sqrt(sp.eigenvalues[0]) * sp.eigenvectors[:, 0] for sp in spectra
-    ]
-    matrix = assemble_hpca_matrix(
-        partition, blocks, betas_per_sector, spec.factor_correlation
-    )
+    """Population partition, blocks and their spectra for a spec."""
+    blocks = tuple(s.block_correlation() for s in spec.sectors)
     return GroundTruth(
-        partition=partition,
-        population_matrix=matrix,
+        partition=SectorPartition.from_mapping(_asset_names(spec), sector_map_for(spec)),
         factor_correlation=spec.factor_correlation,
-        betas=np.concatenate(betas_per_sector),
-        sector_spectra=spectra,
+        sector_correlations=blocks,
+        sector_spectra=tuple(sym_eig_sorted(block) for block in blocks),
     )
+
+
+def _root(spectrum: Spectrum) -> np.ndarray:
+    """``V sqrt(clip(L, 0))``: a square root ``R`` with ``R R^T`` the matrix."""
+    return spectrum.eigenvectors * np.sqrt(np.clip(spectrum.eigenvalues, 0.0, None))
+
+
+def _correlate(truth: GroundTruth, shocks: np.ndarray) -> np.ndarray:
+    """Map T x n standard normal shocks to draws with the population correlation.
+
+    Each sector's first column of ``shocks`` is overwritten with its factor
+    (mixed by the factor root); each contiguous sector block is then
+    multiplied by its sector root, whose first column is the beta vector.
+    """
+    starts = np.cumsum(truth.partition.sizes) - truth.partition.sizes
+    factor_root = _root(sym_eig_sorted(truth.factor_correlation))
+    shocks[:, starts] = shocks[:, starts] @ factor_root.T
+    out = np.empty(shocks.shape)
+    for start, spectrum in zip(starts.tolist(), truth.sector_spectra):
+        block = slice(start, start + spectrum.size)
+        np.matmul(shocks[:, block], _root(spectrum).T, out=out[:, block])
+    return out
 
 
 def generate(spec: MarketSpec, seed: int | None = None) -> tuple[ReturnsPanel, GroundTruth]:
     """Draw a Gaussian panel whose population correlation is the spec's matrix.
 
     Deterministic for a given (spec, seed); ``seed`` defaults to the spec's
-    own seed field.
+    own seed field and must be non-negative.
     """
+    seed = spec.seed if seed is None else seed
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     truth = ground_truth(spec)
-    spectrum = sym_eig_sorted(truth.population_matrix)
-    if float(spectrum.eigenvalues.min()) < PSD_TOL:
-        raise InputError(
-            "population matrix is not positive semi-definite "
-            f"(min eigenvalue {spectrum.eigenvalues.min():g})"
-        )
-    root = spectrum.eigenvectors * np.sqrt(np.clip(spectrum.eigenvalues, 0.0, None))
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     shocks = rng.standard_normal((spec.n_periods, spec.n_assets))
     panel = ReturnsPanel(
         dates=_date_labels(spec.n_periods),
         assets=_asset_names(spec),
-        values=shocks @ root.T,
+        values=_correlate(truth, shocks),
     )
     return panel, truth
 
 
 def sector_map_for(spec: MarketSpec) -> dict[str, str]:
     """Asset -> sector mapping matching the generated panel's asset names."""
-    mapping = {}
-    for k, s in enumerate(spec.sectors):
-        for j in range(s.size):
-            mapping[f"S{k + 1:02d}A{j + 1:03d}"] = s.name
-    return mapping
+    sectors = (s.name for s in spec.sectors for _ in range(s.size))
+    return dict(zip(_asset_names(spec), sectors))
 
 
 def default_market_spec(n_periods: int = 1508, seed: int = 0) -> MarketSpec:

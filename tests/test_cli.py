@@ -231,6 +231,20 @@ class TestInputFailuresReportCleanly:
             "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
         )
 
+    def test_simulate_with_negative_seed(self, tmp_path, small_spec_file):
+        self.assert_input_error(
+            "simulate", "--spec", small_spec_file, "--seed", "-1",
+            "--out", tmp_path / "p.csv",
+        )
+
+    def test_simulate_with_negative_spec_seed(self, tmp_path, small_spec_file):
+        doc = json.loads(small_spec_file.read_text())
+        doc["seed"] = -3
+        small_spec_file.write_text(json.dumps(doc))
+        self.assert_input_error(
+            "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
+        )
+
     @pytest.mark.parametrize("bad", ["panel", "sectors"])
     def test_fit_on_non_utf8_file(self, tmp_path, simulated, bad):
         inputs = dict(zip(("panel", "sectors"), simulated))

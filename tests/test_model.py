@@ -1,5 +1,6 @@
 """Hierarchical matrix assembly and its closed-form labeled spectrum."""
 
+import csv
 import math
 
 import numpy as np
@@ -422,3 +423,22 @@ class TestExport:
         table = (tmp_path / "eigenvectors.csv").read_text().splitlines()
         assert table[0] == "asset,EV1,EV2"
         assert len(table) == model.n_assets + 1
+
+    def test_eigenvector_table_quotes_asset_names(self, tmp_path):
+        raw = raw_panel(np.random.default_rng(21).standard_normal((40, 3)))
+        panel = standardize(
+            ReturnsPanel(
+                dates=raw.dates, assets=("ACME, Inc.", "B", 'C "x"'), values=raw.values
+            )
+        )
+        model = fit_hpca(panel, SectorPartition(("s",), np.zeros(3, dtype=int)))
+        save_model(model, tmp_path, vectors=2)
+        with open(tmp_path / "eigenvectors.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["asset", "EV1", "EV2"]
+        assert [row[0] for row in rows[1:]] == list(panel.assets)
+        assert all(len(row) == 3 for row in rows)
+        np.testing.assert_array_equal(
+            np.array([row[1:] for row in rows[1:]], dtype=float),
+            model.spectrum.eigenvectors[:, :2],
+        )

@@ -144,6 +144,21 @@ class TestDefactor:
         with pytest.raises(InputError, match="factor column 1"):
             defactor(panel, np.column_stack([f, 2.0 * f]))
 
+    @pytest.mark.parametrize(
+        "build, column",
+        [
+            (lambda f: np.column_stack([np.full(50, 3.0), f[:, 1:]]), 0),
+            (lambda f: np.column_stack([f[:, :3], f[:, 0] - 2.0 * f[:, 2]]), 3),
+        ],
+        ids=["constant-factor", "past-column-1"],
+    )
+    def test_rank_deficiency_names_first_dependent_column(self, build, column):
+        rng = np.random.default_rng(6)
+        panel = noise_panel(rng, 50, 3)
+        factors = build(rng.standard_normal((50, 4)))
+        with pytest.raises(InputError, match=f"factor column {column} is"):
+            defactor(panel, factors)
+
     def test_length_mismatch(self):
         panel = noise_panel(np.random.default_rng(7), 20, 3)
         with pytest.raises(InputError):

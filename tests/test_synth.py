@@ -16,6 +16,7 @@ from hpca import (
     write_panel,
 )
 from hpca.synth import (
+    _correlate,
     ground_truth,
     load_market_spec,
     market_spec_from_dict,
@@ -72,6 +73,26 @@ class TestGenerate:
                 s.block_correlation(),
             )
             start = stop
+
+    def test_sampler_is_an_exact_root(self):
+        # Identity shocks (T = n) make the panel's Gram matrix the sampler's
+        # own covariance, which must be the population matrix itself.
+        rng = np.random.default_rng(4)
+        kinds = set()
+        for trial in range(60):
+            spec = helpers.random_market_spec(rng)
+            truth = ground_truth(spec)
+            draws = _correlate(truth, np.eye(spec.n_assets))
+            np.testing.assert_allclose(
+                draws.T @ draws, truth.population_matrix, rtol=0.0, atol=1e-12
+            )
+            kinds.update(
+                "singleton" if s.size == 1
+                else "perfect" if s.equicorrelation == 1.0
+                else "other"
+                for s in spec.sectors
+            )
+        assert kinds == {"singleton", "perfect", "other"}
 
     def test_deterministic_per_seed(self):
         spec = singleton_pair_spec(0.3, 500, seed=9)
