@@ -47,6 +47,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """argparse type for a non-negative integer option."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _load_inputs(panel_path: str, sectors_path: str):
     panel = load_panel(panel_path)
     mapping = load_sector_map(sectors_path)
@@ -184,20 +195,20 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", required=True, help="output directory")
     fit.add_argument("--dense", action="store_true", help="include the dense matrix")
     fit.add_argument(
-        "--vectors", type=int, default=0, metavar="K",
+        "--vectors", type=_count, default=0, metavar="K",
         help="also export the top K eigenvectors as CSV",
     )
     fit.set_defaults(func=_cmd_fit)
 
     spectrum = sub.add_parser("spectrum", help="print the labeled eigenvalue table")
     spectrum.add_argument("--model", required=True, help="directory written by fit")
-    spectrum.add_argument("--top", type=int, default=None, metavar="K")
+    spectrum.add_argument("--top", type=_count, default=None, metavar="K")
     spectrum.set_defaults(func=_cmd_spectrum)
 
     compare = sub.add_parser("compare", help="plain vs hierarchical spectra")
     compare.add_argument("--panel", required=True)
     compare.add_argument("--sectors", required=True)
-    compare.add_argument("--top", type=int, default=25, metavar="K")
+    compare.add_argument("--top", type=_count, default=25, metavar="K")
     compare.add_argument("--json", action="store_true", help="emit JSON instead of text")
     compare.set_defaults(func=_cmd_compare)
 
@@ -206,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     residuals.add_argument("--sectors", required=True)
     residuals.add_argument("--method", choices=("pca", "hpca"), required=True)
     residuals.add_argument(
-        "--m", type=int, default=None,
+        "--m", type=_count, default=None,
         help="factor cutoff (default: count of eigenvalues above the noise edge)",
     )
     residuals.add_argument("--out", default=None, help="directory for plot-ready tables")

@@ -153,7 +153,8 @@ def load_panel(
     The first row is a header: first column the date label, each remaining
     column one asset. Rows containing a missing value are dropped and
     counted in ``dropped_rows``. Comma and tab delimiters are supported;
-    when ``delimiter`` is None it is sniffed from the header line.
+    when ``delimiter`` is None it is sniffed from the header line. Quoted
+    fields and CRLF line endings are accepted.
 
     Raises:
         InputError: duplicate asset names, fewer than 2 complete rows,
@@ -172,49 +173,106 @@ def load_panel(
         assets = tuple(name.strip() for name in header[1:])
         if any(not a for a in assets):
             raise InputError("blank asset name in header")
+        lines = stream.readlines()
 
-        dates: list[str] = []
-        rows: list[list[float]] = []
-        dropped = 0
-        reader = csv.reader(stream, delimiter=delimiter)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise InputError(
-                    f"row {line_no} has {len(row)} cells, expected {len(header)}"
-                )
-            if any(_is_missing(cell) for cell in row[1:]):
-                dropped += 1
-                continue
-            parsed = []
-            for asset, cell in zip(assets, row[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise InputError(
-                        f"non-numeric value {cell.strip()!r} at row {line_no}, "
-                        f"column {asset!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise InputError(
-                        f"non-finite value {cell.strip()!r} at row {line_no}, "
-                        f"column {asset!r}"
-                    )
-                parsed.append(value)
-            dates.append(row[0].strip())
-            rows.append(parsed)
-
-    if len(rows) < 2:
+    dates, values, dropped = _parse_bulk(lines, delimiter, len(assets)) or _parse_rows(
+        lines, delimiter, assets
+    )
+    if len(dates) < 2:
         raise InputError(
             f"fewer than 2 complete rows after dropping {dropped} incomplete row(s)"
         )
     return ReturnsPanel(
-        dates=tuple(dates),
-        assets=assets,
-        values=np.array(rows, dtype=float),
-        dropped_rows=dropped,
+        dates=dates, assets=assets, values=values, dropped_rows=dropped
     )
+
+
+def _has_missing_cell(line: str, delimiter: str) -> bool:
+    """Whether a quote-free body line holds a missing value cell.
+
+    Only a line whose values hold ``n``, ``N``, a space, an empty cell or
+    a trailing delimiter is split, so a clean line costs a few substring
+    scans; the date is not scanned. A missing cell spelled otherwise (a
+    lone tab, say) is not seen, and a line with a ``\\r`` inside is never
+    reported, since ``csv.reader`` rejects it: ``loadtxt`` then fails on
+    the line and the row loop reads the body.
+    """
+    d = delimiter
+    start = line.find(d)
+    if not line.endswith((d, d + "\n", d + "\r\n", d + "\r")) and all(
+        line.find(mark, start) < 0 for mark in ("n", "N", " ", d + d)
+    ):
+        return False
+    text = line.rstrip("\n").removesuffix("\r")
+    return "\r" not in text and any(_is_missing(cell) for cell in text.split(d)[1:])
+
+
+def _parse_bulk(lines: list[str], delimiter: str, n: int):
+    """``(dates, values, dropped)`` of a body from one ``np.loadtxt`` call.
+
+    Returns None unless every non-blank line is free of quotes and holds
+    exactly ``n`` delimiters, and every value of the rows without a missing
+    cell parses and is finite; then ``_parse_rows`` reads the body and
+    reports what is wrong. ``loadtxt`` accepts a subset of what ``float``
+    does (no ``1_0``, non-ASCII digits or a bare trailing ``\\r``), so a
+    value it parses has the same bits.
+    """
+    body = [line for line in lines if delimiter in line or line.strip()]
+    if any(line.count(delimiter) != n or '"' in line for line in body):
+        return None
+    kept = [line for line in body if not _has_missing_cell(line, delimiter)]
+    # An empty body is left to the row loop: loadtxt warns on no data.
+    if not kept:
+        return None
+    try:
+        values = np.loadtxt(
+            kept, delimiter=delimiter, comments=None,
+            usecols=range(1, n + 1), ndmin=2, dtype=float,
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    dates = tuple(line.split(delimiter, 1)[0].strip() for line in kept)
+    return dates, values, len(body) - len(kept)
+
+
+def _parse_rows(lines: list[str], delimiter: str, assets: tuple[str, ...]):
+    """``(dates, values, dropped)`` of a body read cell by cell.
+
+    Drops rows with a missing token and reports a ragged row or a bad
+    cell with its line number and column.
+    """
+    dates: list[str] = []
+    rows: list[list[float]] = []
+    dropped = 0
+    width = len(assets) + 1
+    for line_no, row in enumerate(csv.reader(lines, delimiter=delimiter), start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise InputError(f"row {line_no} has {len(row)} cells, expected {width}")
+        if any(_is_missing(cell) for cell in row[1:]):
+            dropped += 1
+            continue
+        parsed = []
+        for asset, cell in zip(assets, row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise InputError(
+                    f"non-numeric value {cell.strip()!r} at row {line_no}, "
+                    f"column {asset!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise InputError(
+                    f"non-finite value {cell.strip()!r} at row {line_no}, "
+                    f"column {asset!r}"
+                )
+            parsed.append(value)
+        dates.append(row[0].strip())
+        rows.append(parsed)
+    return tuple(dates), np.array(rows, dtype=float), dropped
 
 
 def loads_panel(text: str, delimiter: str | None = None) -> ReturnsPanel:
@@ -229,8 +287,8 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO, delimiter: str =
     cycle reproduces the panel bit for bit.
     """
     rows = (
-        [date] + [repr(float(x)) for x in row]
-        for date, row in zip(panel.dates, panel.values)
+        [date, *map(repr, row)]
+        for date, row in zip(panel.dates, panel.values.tolist())
     )
     _write_rows(dest, ("date",) + panel.assets, rows, delimiter)
 

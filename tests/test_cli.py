@@ -245,6 +245,28 @@ class TestInputFailuresReportCleanly:
             "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
         )
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [("fit", "--vectors"), ("spectrum", "--top"), ("compare", "--top"), ("residuals", "--m")],
+    )
+    def test_negative_count_is_usage_error(self, tmp_path, simulated, command, option):
+        panel, sectors = simulated
+        # argparse rejects the count before any input is opened.
+        model = tmp_path / "model"
+        inputs = {
+            "fit": ["--panel", panel, "--sectors", sectors, "--out", model],
+            "spectrum": ["--model", model],
+            "compare": ["--panel", panel, "--sectors", sectors],
+            "residuals": ["--panel", panel, "--sectors", sectors, "--method", "hpca"],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpca", command, *map(str, inputs), option, "-1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert f"argument {option}: expected a non-negative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("bad", ["panel", "sectors"])
     def test_fit_on_non_utf8_file(self, tmp_path, simulated, bad):
         inputs = dict(zip(("panel", "sectors"), simulated))

@@ -1,11 +1,13 @@
 """Panel loading, standardization, and correlation."""
 
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
 
+from hpca import panel as panel_module
 from hpca import (
     InputError,
     ReturnsPanel,
@@ -107,6 +109,141 @@ class TestLoadPanel:
         assert back.assets == panel.assets
         assert back.dates == panel.dates
         assert back.values.tobytes() == panel.values.tobytes()
+
+    def test_write_panel_golden_text(self):
+        panel = ReturnsPanel(
+            dates=("2020-01-01", 'Q1, "early" 2020'),
+            assets=("ACME, Inc.", "B", "C"),
+            values=[[0.1, -0.0, 1e-05], [5e-324, 1e16, 123456789.123]],
+        )
+        buf = io.StringIO()
+        write_panel(panel, buf)
+        assert buf.getvalue() == (
+            'date,"ACME, Inc.",B,C\n'
+            "2020-01-01,0.1,-0.0,1e-05\n"
+            '"Q1, ""early"" 2020",5e-324,1e+16,123456789.123\n'
+        )
+        back = loads_panel(buf.getvalue())
+        assert back.dates == panel.dates
+        assert back.assets == panel.assets
+        assert back.values.tobytes() == panel.values.tobytes()
+
+
+def per_cell_load(text):
+    """Reference reader: every cell through ``float``, one at a time.
+
+    Returns ``(dates, assets, value bytes, dropped_rows)`` or raises the
+    ``InputError`` that ``loads_panel`` must raise.
+    """
+    stream = io.StringIO(text)
+    first = stream.readline()
+    delimiter = "\t" if "\t" in first else ","
+    header = next(csv.reader([first], delimiter=delimiter))
+    assets = tuple(name.strip() for name in header[1:])
+    dates, values, dropped = [], [], 0
+    for line_no, row in enumerate(csv.reader(stream, delimiter=delimiter), start=2):
+        if len(row) <= 1 and not "".join(row).strip():
+            continue
+        if len(row) != len(header):
+            raise InputError(f"row {line_no} has {len(row)} cells, expected {len(header)}")
+        if any(cell.strip().lower() in ("", "na", "nan", "null", "n/a") for cell in row[1:]):
+            dropped += 1
+            continue
+        for asset, cell in zip(assets, row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise InputError(
+                    f"non-numeric value {cell.strip()!r} at row {line_no}, column {asset!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise InputError(
+                    f"non-finite value {cell.strip()!r} at row {line_no}, column {asset!r}"
+                )
+            values.append(value)
+        dates.append(row[0].strip())
+    if len(dates) < 2:
+        raise InputError(
+            f"fewer than 2 complete rows after dropping {dropped} incomplete row(s)"
+        )
+    return tuple(dates), assets, np.array(values, dtype=float).tobytes(), dropped
+
+
+CLEAN_LINES = [
+    "date,AAA,BBB,CCC",
+    "2020-01-01,0.1,0.2,0.3",
+    "2020-01-02,-0.1,0.0,1e-3",
+    "2020-01-03,0.3,-0.2,5",
+    "2020-01-04,1.5,2.5,-3.5",
+]
+
+
+def dirty(*rows, date=None, end="", **cells):
+    """The clean table with cells (by asset) or the date of ``rows`` replaced."""
+    lines = list(CLEAN_LINES)
+    names = lines[0].split(",")
+    for row in rows:
+        fields = lines[row].split(",")
+        for asset, cell in cells.items():
+            fields[names.index(asset)] = cell
+        if date is not None:
+            fields[0] = date
+        lines[row] = ",".join(fields) + end
+    return "\n".join(lines) + "\n"
+
+
+# (id, text, whether the bulk parser must accept it; None: numpy-dependent)
+DIRTY_PANELS = [
+    ("clean", dirty(1), True),
+    *((f"missing-{tok!r}", dirty(3, BBB=tok), True) for tok in ("", "na", " NaN ", "null", "n/A")),
+    ("missing-spaces", dirty(3, BBB="  "), True),
+    ("missing-first-column", dirty(2, AAA=""), True),
+    ("missing-last-column", dirty(4, CCC=""), True),
+    ("missing-then-non-numeric", dirty(3, AAA="oops", CCC="NA"), True),
+    ("nan-then-inf", dirty(2, AAA="inf", BBB="nan"), True),
+    ("missing-leaves-one-row", dirty(1, 2, 4, CCC="null"), True),
+    ("missing-everywhere", dirty(1, 2, 3, 4, AAA="na"), False),
+    ("missing-tab-cell", dirty(3, BBB="\t"), False),
+    ("missing-nbsp-cell", dirty(3, BBB="\xa0"), False),
+    ("missing-with-cr-inside", dirty(3, AAA="0.3\r", BBB="na"), False),
+    ("missing-crlf", dirty(3, BBB="na").replace("\n", "\r\n"), None),
+    ("inf", dirty(2, BBB="inf"), False),
+    ("underscore", dirty(2, BBB="1_0"), False),
+    ("crlf", "\r\n".join(CLEAN_LINES) + "\r\n", None),
+    ("tab", "\n".join(line.replace(",", "\t") for line in CLEAN_LINES) + "\n", True),
+    ("tab-empty-row", "\n".join(line.replace(",", "\t") for line in CLEAN_LINES) + "\n\t\t\t\n", True),
+    ("quoted-date", dirty(2, date='"Jan 2, 2020"'), False),
+    ("quoted-plain-date", dirty(2, date='"2020-01-02"'), False),
+    ("hash-in-date", dirty(2, date="2020-01-02#close"), True),
+    ("spaced-date", dirty(2, date="Jan 2 2020"), True),
+    ("missing-token-as-date", dirty(2, date="NA", BBB=" 0.5"), True),
+    ("extra-delimiter", dirty(3, end=","), False),
+    ("trailing-blank-lines", dirty(1) + "\n\n   \n", True),
+    ("non-numeric", dirty(4, BBB="oops"), False),
+]
+
+
+@pytest.mark.parametrize(
+    "text, bulk", [case[1:] for case in DIRTY_PANELS], ids=[case[0] for case in DIRTY_PANELS]
+)
+def test_bulk_parse_matches_per_cell_reference(monkeypatch, text, bulk):
+    row_reads = []
+    read_rows = panel_module._parse_rows
+    monkeypatch.setattr(
+        panel_module, "_parse_rows", lambda *args: row_reads.append(1) or read_rows(*args)
+    )
+    try:
+        expected = per_cell_load(text)
+    except (InputError, csv.Error) as exc:
+        with pytest.raises(type(exc)) as got:
+            loads_panel(text)
+        assert str(got.value) == str(exc)
+    else:
+        panel = loads_panel(text)
+        got = (panel.dates, panel.assets, panel.values.tobytes(), panel.dropped_rows)
+        assert got == expected
+    if bulk is not None:
+        assert (not row_reads) is bulk
 
 
 class TestStandardize:
