@@ -85,9 +85,8 @@ def _cmd_spectrum(args) -> int:
         rows = [(entry["eigenvalue"], entry["label"]) for entry in doc["spectrum"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed model file: no valid spectrum ({exc!r})") from None
-    top = len(rows) if args.top is None else max(1, min(args.top, len(rows)))
     print("rank\teigenvalue\tlabel")
-    for rank, (value, label) in enumerate(rows[:top], start=1):
+    for rank, (value, label) in enumerate(rows[: args.top], start=1):
         print(f"{rank}\t{value!r}\t{label}")
     return EXIT_OK
 
@@ -112,19 +111,17 @@ def _cmd_residuals(args) -> int:
 
     if args.method == "pca":
         spectrum = sym_eig_sorted(correlation(panel).values)
-        eigenvalues, vectors = spectrum.eigenvalues, spectrum.eigenvectors
     else:
-        model = fit_hpca(panel, partition)
-        eigenvalues, vectors = (
-            model.spectrum.eigenvalues,
-            model.spectrum.eigenvectors,
-        )
+        spectrum = fit_hpca(panel, partition).spectrum
+    eigenvalues = spectrum.eigenvalues
     cutoff = (
         int((eigenvalues > ref.lambda_plus).sum()) if args.m is None else args.m
     )
     if cutoff > n:
         raise InputError(f"cutoff m={cutoff} exceeds asset count {n}")
-    factors = eigenportfolio_series(panel.values, eigenvalues, vectors, cutoff)
+    factors = eigenportfolio_series(
+        panel.values, eigenvalues, spectrum.vectors(cutoff), cutoff
+    )
     residuals = defactor(panel, factors, model_type=args.method)
     rep = residual_spectrum(residuals, ref)
 

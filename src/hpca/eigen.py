@@ -35,6 +35,12 @@ class Spectrum:
     def size(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def vectors(self, count: int) -> np.ndarray:
+        """The top ``count`` eigenvectors as the columns of an n x count array."""
+        if count < 0:
+            raise InputError(f"eigenvector count must be non-negative, got {count}")
+        return self.eigenvectors[:, :count]
+
 
 def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
     """Decompose a real symmetric matrix deterministically.

@@ -171,6 +171,12 @@ class LabeledSpectrum:
     def size(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def vectors(self, count: int) -> np.ndarray:
+        """The top ``count`` eigenvectors as the columns of an n x count array."""
+        if count < 0:
+            raise InputError(f"eigenvector count must be non-negative, got {count}")
+        return self.eigenvectors[:, :count]
+
 
 def assemble_spectrum(
     partition: SectorPartition,
@@ -406,15 +412,12 @@ def load_model_dict(directory: str | Path) -> dict:
             raise InputError(f"model file {path} is not valid JSON: {exc}") from None
 
 
-def write_eigenvector_table(
-    spectrum: LabeledSpectrum, dest: str | Path, count: int, delimiter: str = ","
-) -> None:
-    """Write the top ``count`` eigenvectors as delimited text.
+def write_eigenvector_table(spectrum: LabeledSpectrum, dest: str | Path, count: int) -> None:
+    """Write the top ``count`` eigenvectors as comma-delimited text.
 
     One row per asset, one column per eigenvector, full-precision values.
     """
-    count = min(count, spectrum.size)
-    header = ["asset"] + [f"EV{r + 1}" for r in range(count)]
-    vectors = spectrum.eigenvectors[:, :count].tolist()
-    rows = ([a] + [repr(v) for v in vec] for a, vec in zip(spectrum.assets, vectors))
-    _write_rows(dest, header, rows, delimiter)
+    vectors = spectrum.vectors(count)
+    header = ["asset"] + [f"EV{r + 1}" for r in range(vectors.shape[1])]
+    rows = ([a] + [repr(v) for v in vec] for a, vec in zip(spectrum.assets, vectors.tolist()))
+    _write_rows(dest, header, rows)

@@ -125,10 +125,10 @@ def _text_stream(source: str | Path | TextIO, mode: str = "r") -> Iterator[TextI
         raise InputError(f"{source} is not UTF-8 text: {exc.reason}") from None
 
 
-def _write_rows(dest: str | Path | TextIO, header, rows, delimiter: str = ",") -> None:
-    """Write a header and rows as delimited UTF-8 text, quoting cells as needed."""
+def _write_rows(dest: str | Path | TextIO, header, rows) -> None:
+    """Write a header and rows as comma-delimited UTF-8 text, quoting cells as needed."""
     with _text_stream(dest, "w") as stream:
-        writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -145,16 +145,14 @@ def _is_missing(cell: str) -> bool:
     return cell.strip().lower() in MISSING_TOKENS
 
 
-def load_panel(
-    source: str | Path | TextIO, delimiter: str | None = None
-) -> ReturnsPanel:
+def load_panel(source: str | Path | TextIO) -> ReturnsPanel:
     """Read a delimited return table into a validated panel.
 
     The first row is a header: first column the date label, each remaining
     column one asset. Rows containing a missing value are dropped and
-    counted in ``dropped_rows``. Comma and tab delimiters are supported;
-    when ``delimiter`` is None it is sniffed from the header line. Quoted
-    fields and CRLF line endings are accepted.
+    counted in ``dropped_rows``. The delimiter is a tab if the header line
+    holds one, else a comma. Quoted fields and CRLF line endings are
+    accepted.
 
     Raises:
         InputError: duplicate asset names, fewer than 2 complete rows,
@@ -165,8 +163,7 @@ def load_panel(
         first = stream.readline()
         if not first:
             raise InputError("empty input: no header row")
-        if delimiter is None:
-            delimiter = "\t" if "\t" in first else ","
+        delimiter = "\t" if "\t" in first else ","
         header = next(csv.reader([first], delimiter=delimiter))
         if len(header) < 2:
             raise InputError("header must contain a date column and at least one asset")
@@ -275,13 +272,13 @@ def _parse_rows(lines: list[str], delimiter: str, assets: tuple[str, ...]):
     return tuple(dates), np.array(rows, dtype=float), dropped
 
 
-def loads_panel(text: str, delimiter: str | None = None) -> ReturnsPanel:
+def loads_panel(text: str) -> ReturnsPanel:
     """``load_panel`` over an in-memory string."""
-    return load_panel(io.StringIO(text), delimiter=delimiter)
+    return load_panel(io.StringIO(text))
 
 
-def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO, delimiter: str = ",") -> None:
-    """Write a panel in the same delimited format ``load_panel`` reads.
+def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
+    """Write a panel as comma-delimited text, the format ``load_panel`` reads.
 
     Values are written with full round-trip precision, so a write/load
     cycle reproduces the panel bit for bit.
@@ -290,7 +287,7 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO, delimiter: str =
         [date, *map(repr, row)]
         for date, row in zip(panel.dates, panel.values.tolist())
     )
-    _write_rows(dest, ("date",) + panel.assets, rows, delimiter)
+    _write_rows(dest, ("date",) + panel.assets, rows)
 
 
 def standardize(panel: ReturnsPanel) -> StandardizedPanel:

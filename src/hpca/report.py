@@ -17,7 +17,6 @@ import numpy as np
 from .eigen import Spectrum
 from .errors import InputError, NumericalError
 from .model import (
-    EigenvectorComparison,
     LabeledSpectrum,
     compare_eigenvectors,
     cumulative_variance,
@@ -65,10 +64,6 @@ class ComparisonReport:
     def n_assets(self) -> int:
         return len(self.assets)
 
-    @property
-    def top_k(self) -> int:
-        return len(self.rows)
-
 
 def build_comparison(
     pca: Spectrum,
@@ -96,12 +91,10 @@ def build_comparison(
             raise NumericalError(
                 f"{name} eigenvalues sum to {total!r}, expected {n}"
             )
-    top_k = max(1, min(top_k, n))
     rows = []
-    for r in range(top_k):
-        stats: EigenvectorComparison = compare_eigenvectors(
-            pca.eigenvectors[:, r], hpca.eigenvectors[:, r]
-        )
+    pairs = zip(pca.vectors(top_k).T, hpca.vectors(top_k).T)
+    for r, (pca_vector, hpca_vector) in enumerate(pairs):
+        stats = compare_eigenvectors(pca_vector, hpca_vector)
         rows.append(
             ComparisonRow(
                 rank=r + 1,

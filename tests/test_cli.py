@@ -101,6 +101,17 @@ class TestFitAndSpectrum:
         assert first[0] == "1"
         assert float(first[1]) > 1.0
 
+    def test_spectrum_top_zero_prints_only_the_header(self, tmp_path, simulated):
+        panel, sectors = simulated
+        out = tmp_path / "model"
+        assert main(["fit", "--panel", str(panel), "--sectors", str(sectors), "--out", str(out)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpca", "spectrum", "--model", str(out), "--top", "0"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "rank\teigenvalue\tlabel\n"
+
     def test_spectrum_missing_model(self, tmp_path, capsys):
         rc = main(["spectrum", "--model", str(tmp_path / "nope")])
         assert rc == 1
@@ -132,6 +143,23 @@ class TestCompare:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_top_zero_has_no_rows(self, simulated, fmt):
+        panel, sectors = simulated
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpca", "compare", "--panel", str(panel),
+             "--sectors", str(sectors), "--top", "0", *fmt],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        if fmt:
+            doc = json.loads(proc.stdout)
+            assert doc["rows"] == []
+            assert len(doc["hpca_eigenvalues"]) == 6
+        else:
+            assert proc.stdout.endswith("\nrank\tpca\thpca\tlabel\trms_distance\t"
+                                        "mean_difference\tmean_abs_entry\n")
 
 
 class TestResiduals:

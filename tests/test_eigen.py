@@ -49,6 +49,12 @@ class TestErrors:
         with pytest.raises(InputError):
             sym_eig_sorted(np.zeros((0, 0)))
 
+    def test_negative_vector_count(self):
+        spec = sym_eig_sorted(np.eye(3))
+        assert spec.vectors(0).shape == (3, 0)
+        with pytest.raises(InputError, match="non-negative"):
+            spec.vectors(-1)
+
     def test_non_finite(self):
         a = np.eye(3)
         a[0, 1] = a[1, 0] = np.inf

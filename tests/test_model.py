@@ -56,6 +56,14 @@ def four_asset_parts():
     return partition, [block, block.copy()], betas, rho
 
 
+def tied_spectrum():
+    """Identity blocks and uncorrelated factors: every eigenvalue is 1."""
+    partition = SectorPartition(labels=("p", "q"), assignment=np.array([0, 1, 1]))
+    spectra = [sym_eig_sorted(np.eye(1)), sym_eig_sorted(np.eye(2))]
+    cov = build_factor_cov([1.0, 1.0], np.eye(2))
+    return assemble_spectrum(partition, spectra, cov, ("a", "b", "c"))
+
+
 class TestInterSectorCorr:
     def test_single_factor(self):
         f = np.random.default_rng(0).standard_normal((50, 1))
@@ -192,11 +200,7 @@ class TestSpectrumAssembly:
         assert all(lab.order == 2 for lab in labeled.labels[2:])
 
     def test_multi_sector_sorts_first_on_ties(self):
-        # Identity blocks and uncorrelated factors make every eigenvalue 1.
-        partition = SectorPartition(labels=("p", "q"), assignment=np.array([0, 1, 1]))
-        spectra = [sym_eig_sorted(np.eye(1)), sym_eig_sorted(np.eye(2))]
-        cov = build_factor_cov([1.0, 1.0], np.eye(2))
-        labeled = assemble_spectrum(partition, spectra, cov, ("a", "b", "c"))
+        labeled = tied_spectrum()
         np.testing.assert_array_equal(labeled.eigenvalues, [1.0, 1.0, 1.0])
         assert [lab.kind for lab in labeled.labels] == [MULTI_SECTOR, MULTI_SECTOR, SECTOR]
 
@@ -215,6 +219,25 @@ class TestSpectrumAssembly:
                 if lab.kind == SECTOR and lab.sector == label
             ]
             assert sorted(orders) == list(range(2, int(model.partition.sizes[k]) + 1))
+
+    def test_top_vectors_equal_leading_eigenvector_columns(self):
+        rng = np.random.default_rng(23)
+        specs = [helpers.random_market_spec(rng) for _ in range(12)]
+        sectors = [s for spec in specs for s in spec.sectors]
+        # The draws cover singleton and perfectly correlated sectors.
+        assert any(s.size == 1 for s in sectors)
+        assert any(s.equicorrelation == 1.0 for s in sectors)
+        models = [helpers.fit_from_spec(spec)[1] for spec in specs]
+        cases = [(m.spectrum, m.partition.n_sectors) for m in models] + [(tied_spectrum(), 2)]
+        for spectrum, b in cases:
+            full = spectrum.eigenvectors
+            n = spectrum.size
+            for k in sorted({0, 1, b, min(b + 1, n), n}):
+                top = spectrum.vectors(k)
+                assert top.shape == (n, k)
+                assert np.array_equal(top, full[:, :k])
+            with pytest.raises(InputError, match="non-negative"):
+                spectrum.vectors(-1)
 
     def test_eigenvectors_orthonormal(self):
         rng = np.random.default_rng(10)

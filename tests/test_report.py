@@ -101,6 +101,12 @@ class TestBuildComparison:
         with pytest.raises(InputError, match="universe"):
             build_comparison(pca, model.spectrum, other)
 
+    def test_negative_top_k_rejected(self):
+        rng = np.random.default_rng(6)
+        std, pca, model = fitted_pair(helpers.random_market_spec(rng, min_size=2))
+        with pytest.raises(InputError, match="non-negative"):
+            build_comparison(pca, model.spectrum, std.assets, top_k=-1)
+
     def test_labels_use_sector_names(self):
         rng = np.random.default_rng(5)
         spec = helpers.market_like_spec(rng)
