@@ -30,7 +30,7 @@ from .model import (
 )
 from .panel import _write_rows, correlation, load_panel, standardize, write_panel
 from .report import build_comparison, render_text, report_to_dict
-from .rmt import mp_density, mp_threshold, residual_spectrum, defactor
+from .rmt import mp_density, residual_spectrum, defactor
 from .sectors import SectorPartition, load_sector_map
 from .synth import generate, load_market_spec, sector_map_for
 

@@ -26,6 +26,8 @@ class Spectrum:
 
     ``eigenvalues`` is sorted non-increasing and column ``k`` of
     ``eigenvectors`` is the unit eigenvector paired with ``eigenvalues[k]``.
+    Every eigensystem in the package is one: ``SectorModel``,
+    ``FactorCovariance`` and ``LabeledSpectrum`` extend it.
     """
 
     eigenvalues: np.ndarray

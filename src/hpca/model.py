@@ -21,7 +21,7 @@ import numpy as np
 from .eigen import Spectrum, sym_eig_sorted
 from .errors import InputError, NumericalError
 from .panel import StandardizedPanel, _gram_correlation, _text_stream, _write_rows
-from .sectors import SectorModel, SectorPartition, factor_panel, fit_all_sectors
+from .sectors import SectorModel, SectorPartition, fit_all_sectors
 
 MULTI_SECTOR = "multi-sector"
 SECTOR = "sector"
@@ -86,8 +86,8 @@ def assemble_hpca_matrix(
 
 
 @dataclass(frozen=True)
-class FactorCovariance:
-    """Covariance of the scaled sector factors, with its spectrum.
+class FactorCovariance(Spectrum):
+    """Covariance of the scaled sector factors: its spectrum plus the matrix.
 
     Entry ``(k, l)`` is ``sqrt(lambda_1_k) * sqrt(lambda_1_l) * rho_kl``;
     the diagonal holds each sector's leading eigenvalue exactly. The
@@ -97,12 +97,6 @@ class FactorCovariance:
     """
 
     values: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def n_sectors(self) -> int:
-        return self.values.shape[0]
 
 
 def build_factor_cov(
@@ -151,52 +145,34 @@ class SpectrumLabel:
         return {"kind": self.kind, "sector": self.sector, "order": self.order}
 
 
-@dataclass
-class LabeledSpectrum:
-    """Eigenvalues of the hierarchical matrix, sorted descending, with labels."""
+@dataclass(frozen=True)
+class LabeledSpectrum(Spectrum):
+    """Spectrum of the hierarchical matrix with asset names and one label per entry."""
 
     assets: tuple[str, ...]
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     labels: tuple[SpectrumLabel, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.assets)
-        if self.eigenvalues.shape != (n,) or self.eigenvectors.shape != (n, n):
-            raise InputError("spectrum arrays do not match the asset count")
-        if len(self.labels) != n:
-            raise InputError("need one label per eigenvalue")
-
-    @property
-    def size(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def vectors(self, count: int) -> np.ndarray:
-        """The top ``count`` eigenvectors as the columns of an n x count array."""
-        if count < 0:
-            raise InputError(f"eigenvector count must be non-negative, got {count}")
-        return self.eigenvectors[:, :count]
 
 
 def assemble_spectrum(
     partition: SectorPartition,
-    sector_spectra: Sequence[Spectrum | SectorModel],
-    factor_cov: FactorCovariance,
+    sector_spectra: Sequence[Spectrum],
+    mixing: Spectrum,
     assets: Sequence[str],
 ) -> LabeledSpectrum:
     """Assemble the full labeled spectrum analytically.
 
-    The b multi-sector eigenvectors are mixtures of the embedded leading
-    sector eigenvectors with the factor-covariance eigenvector weights; all
-    higher-order sector eigenpairs embed unchanged. Entries are merged in
-    decreasing eigenvalue order, multi-sector first on exact ties, then by
-    sector and order within the sector.
+    ``mixing`` is the spectrum of the b x b scaled-factor covariance. The b
+    multi-sector eigenvectors are mixtures of the embedded leading sector
+    eigenvectors with its eigenvector weights; all higher-order sector
+    eigenpairs embed unchanged. Entries are merged in decreasing eigenvalue
+    order, multi-sector first on exact ties, then by sector and order within
+    the sector.
     """
     b = partition.n_sectors
     n = partition.n_assets
     if len(sector_spectra) != b:
         raise InputError("need one spectrum per sector")
-    if factor_cov.n_sectors != b:
+    if mixing.size != b:
         raise InputError("factor covariance size does not match sector count")
 
     # Entries 0..b-1 are multi-sector; then each sector's orders 2..s_k.
@@ -205,7 +181,7 @@ def assemble_spectrum(
     sector = np.concatenate([np.arange(b), np.repeat(np.arange(b), sizes - 1)])
     order = np.concatenate([np.zeros(b, dtype=int)] + [np.arange(1, s) for s in sizes])
     values = np.concatenate(
-        [factor_cov.eigenvalues] + [spec.eigenvalues[1:] for spec in sector_spectra]
+        [mixing.eigenvalues] + [spec.eigenvalues[1:] for spec in sector_spectra]
     )
     rank = np.lexsort((order, sector, kind, -values))
     column = np.empty(n, dtype=int)
@@ -218,7 +194,7 @@ def assemble_spectrum(
         leading[members, k] = spec.eigenvectors[:, 0]
         cols = column[(sector == k) & (kind == 1)]
         vectors[np.ix_(members, cols)] = spec.eigenvectors[:, 1:]
-    vectors[:, column[:b]] = leading @ factor_cov.eigenvectors
+    vectors[:, column[:b]] = leading @ mixing.eigenvectors
 
     labels = [SpectrumLabel(kind=MULTI_SECTOR, rank=r + 1) for r in range(b)] + [
         SpectrumLabel(kind=SECTOR, sector=partition.labels[k], order=j + 1)
@@ -236,7 +212,6 @@ def assemble_spectrum(
 class HpcaModel:
     """Fitted hierarchical model over one panel."""
 
-    assets: tuple[str, ...]
     partition: SectorPartition
     sector_models: tuple[SectorModel, ...]
     factor_corr: np.ndarray
@@ -245,7 +220,7 @@ class HpcaModel:
 
     @property
     def n_assets(self) -> int:
-        return len(self.assets)
+        return self.partition.n_assets
 
     @property
     def matrix(self) -> np.ndarray:
@@ -261,11 +236,9 @@ class HpcaModel:
 def fit_hpca(panel: StandardizedPanel, partition: SectorPartition) -> HpcaModel:
     """Fit the full hierarchical model on a standardized panel."""
     models = fit_all_sectors(panel, partition)
-    factors = factor_panel(models)
-    rho = inter_sector_corr(factors)
+    rho = inter_sector_corr(np.column_stack([m.factor for m in models]))
     factor_cov = build_factor_cov([m.leading_eigenvalue for m in models], rho)
     return HpcaModel(
-        assets=panel.assets,
         partition=partition,
         sector_models=models,
         factor_corr=rho,
@@ -353,7 +326,7 @@ def model_to_dict(model: HpcaModel, include_matrix: bool = False) -> dict:
     are always included; the dense hierarchical matrix only on request.
     """
     doc = {
-        "assets": list(model.assets),
+        "assets": list(model.spectrum.assets),
         "sectors": list(model.partition.labels),
         "assignment": model.partition.assignment.tolist(),
         "factor_correlation": model.factor_corr.tolist(),

@@ -8,7 +8,6 @@ price-to-return or log/arithmetic conversion is the caller's job.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -270,11 +269,6 @@ def _parse_rows(lines: list[str], delimiter: str, assets: tuple[str, ...]):
         dates.append(row[0].strip())
         rows.append(parsed)
     return tuple(dates), np.array(rows, dtype=float), dropped
-
-
-def loads_panel(text: str) -> ReturnsPanel:
-    """``load_panel`` over an in-memory string."""
-    return load_panel(io.StringIO(text))
 
 
 def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:

@@ -25,13 +25,6 @@ from .model import (
 SUM_TOL = 1e-6
 
 
-def rank_one_delta(top_plain: float, top_hier: float, n: int) -> float:
-    """Explanatory-power gap of the leading eigenvalues, per asset."""
-    if n < 1:
-        raise InputError("n must be positive")
-    return (top_plain - top_hier) / n
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     """One rank of the side-by-side eigenvalue table."""
@@ -47,7 +40,11 @@ class ComparisonRow:
 
 @dataclass
 class ComparisonReport:
-    """Full comparison of a plain spectrum against a hierarchical one."""
+    """Full comparison of a plain spectrum against a hierarchical one.
+
+    ``rank_one_delta`` is the explanatory-power gap of the leading
+    eigenvalues, per asset: ``(lambda_1_pca - lambda_1_hpca) / n``.
+    """
 
     assets: tuple[str, ...]
     pca_eigenvalues: np.ndarray
@@ -112,9 +109,7 @@ def build_comparison(
         hpca_eigenvalues=hpca.eigenvalues,
         hpca_labels=tuple(lab.describe() for lab in hpca.labels),
         rows=tuple(rows),
-        rank_one_delta=rank_one_delta(
-            float(pca.eigenvalues[0]), float(hpca.eigenvalues[0]), n
-        ),
+        rank_one_delta=(float(pca.eigenvalues[0]) - float(hpca.eigenvalues[0])) / n,
         pca_cumulative=cumulative_variance(pca.eigenvalues, n),
         hpca_cumulative=cumulative_variance(hpca.eigenvalues, n),
         min_pca_eigenvalue=float(pca.eigenvalues[-1]),

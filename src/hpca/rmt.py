@@ -138,11 +138,15 @@ def defactor(
         )
 
     # |R_jj| of the unpivoted QR is the distance of design column j from the
-    # span of the columns before it; column 0 is the intercept.
+    # span of the columns before it; column 0 is the intercept. With more
+    # than T design columns, those past the T-th have no R_jj and are
+    # dependent on the ones before them.
     q, r = np.linalg.qr(np.column_stack([np.ones(panel.n_periods), f]))
     spans = np.abs(np.diag(r))
     tol = spans.max() * max(panel.n_periods, m + 1) * np.finfo(float).eps
-    dependent = np.flatnonzero(spans[1:] <= tol)
+    dependent = np.concatenate(
+        [np.flatnonzero(spans[1:] <= tol), np.arange(spans.size - 1, m)]
+    )
     if dependent.size:
         raise InputError(
             "factor matrix is rank deficient: factor column "

@@ -125,9 +125,14 @@ def load_sector_map(source: str | Path | TextIO) -> dict[str, str]:
     return mapping
 
 
-@dataclass
-class SectorModel:
-    """One-factor PCA model of a single sector.
+def _leading_betas(spectrum: Spectrum) -> np.ndarray:
+    """Member betas on a block's leading factor: ``sqrt(lambda_1) * v_1``."""
+    return np.sqrt(float(spectrum.eigenvalues[0])) * spectrum.eigenvectors[:, 0]
+
+
+@dataclass(frozen=True)
+class SectorModel(Spectrum):
+    """One-factor PCA model of a single sector: the sector's own spectrum.
 
     ``factor`` is the leading eigenportfolio return series (unit sample
     variance, divisor T-1) and ``betas`` are the member regressions on it:
@@ -139,23 +144,15 @@ class SectorModel:
     members: np.ndarray
     assets: tuple[str, ...]
     correlation: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    betas: np.ndarray
     factor: np.ndarray
 
     @property
-    def size(self) -> int:
-        return self.members.size
+    def betas(self) -> np.ndarray:
+        return _leading_betas(self)
 
     @property
     def leading_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
-
-
-def _leading_betas(spectrum: Spectrum) -> np.ndarray:
-    """Member betas on a block's leading factor: ``sqrt(lambda_1) * v_1``."""
-    return np.sqrt(float(spectrum.eigenvalues[0])) * spectrum.eigenvectors[:, 0]
 
 
 def fit_sector(
@@ -189,7 +186,6 @@ def fit_sector(
         correlation=c,
         eigenvalues=spectrum.eigenvalues,
         eigenvectors=spectrum.eigenvectors,
-        betas=_leading_betas(spectrum),
         factor=factor,
     )
 
@@ -199,13 +195,3 @@ def fit_all_sectors(
 ) -> tuple[SectorModel, ...]:
     """Fit every sector of the partition, in sector order."""
     return tuple(fit_sector(panel, partition, k) for k in range(partition.n_sectors))
-
-
-def factor_panel(models: Sequence[SectorModel]) -> np.ndarray:
-    """Stack the sectors' leading factor series into a T x b matrix."""
-    if not models:
-        raise InputError("no sector models supplied")
-    lengths = {m.factor.shape[0] for m in models}
-    if len(lengths) != 1:
-        raise InputError(f"factor series lengths differ across sectors: {sorted(lengths)}")
-    return np.column_stack([m.factor for m in models])

@@ -46,6 +46,8 @@ def _check_correlation(matrix: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"{what} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InputError(f"{what} contains non-finite entries")
     if np.abs(m - m.T).max() > 1e-10:
         raise InputError(f"{what} is not symmetric")
     if np.abs(np.diag(m) - 1.0).max() > 1e-10:
@@ -263,12 +265,19 @@ def market_spec_to_dict(spec: MarketSpec) -> dict:
     return doc
 
 
+def _whole(value, what: str) -> int:
+    """``int(value)``, refusing booleans and numbers with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def market_spec_from_dict(doc: dict) -> MarketSpec:
     try:
         sectors = tuple(
             SectorSpec(
                 name=entry["name"],
-                size=int(entry["size"]),
+                size=_whole(entry["size"], f"sector {entry['name']!r} size"),
                 equicorrelation=entry.get("equicorrelation"),
                 correlation=(
                     np.asarray(entry["correlation"], dtype=float)
@@ -281,8 +290,8 @@ def market_spec_from_dict(doc: dict) -> MarketSpec:
         return MarketSpec(
             sectors=sectors,
             factor_correlation=np.asarray(doc["factor_correlation"], dtype=float),
-            n_periods=int(doc["n_periods"]),
-            seed=int(doc.get("seed", 0)),
+            n_periods=_whole(doc["n_periods"], "n_periods"),
+            seed=_whole(doc.get("seed", 0), "seed"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed market spec: {exc}") from exc

@@ -10,16 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from hpca import (
-    HpcaModel,
-    MarketSpec,
-    SectorPartition,
-    SectorSpec,
-    StandardizedPanel,
-    fit_hpca,
-    generate,
-    standardize,
-)
+from hpca.model import HpcaModel, fit_hpca
+from hpca.panel import StandardizedPanel, standardize
+from hpca.sectors import SectorPartition
+from hpca.synth import MarketSpec, SectorSpec, generate
 
 
 def random_correlation(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -7,9 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from hpca import MarketSpec, SectorSpec
 from hpca.cli import main
-from hpca.synth import save_market_spec
+from hpca.synth import MarketSpec, SectorSpec, save_market_spec
 
 
 @pytest.fixture()
@@ -245,6 +244,7 @@ class TestInputFailuresReportCleanly:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+        return proc.stderr
 
     @pytest.mark.parametrize("text", ['{"spectrum": [', "{}"])
     def test_spectrum_on_bad_model_file(self, tmp_path, text):
@@ -258,6 +258,38 @@ class TestInputFailuresReportCleanly:
         self.assert_input_error(
             "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
         )
+
+    @pytest.mark.parametrize(
+        "where, value", [("size", 2.9), ("n_periods", 10.7), ("seed", 1.5), ("seed", True)]
+    )
+    def test_simulate_with_fractional_number(self, tmp_path, small_spec_file, where, value):
+        doc = json.loads(small_spec_file.read_text())
+        if where == "size":
+            doc["sectors"][0]["size"] = value
+        else:
+            doc[where] = value
+        small_spec_file.write_text(json.dumps(doc))
+        stderr = self.assert_input_error(
+            "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
+        )
+        assert "must be a whole number" in stderr
+
+    @pytest.mark.parametrize(
+        "matrix", ["factor correlation", "sector 'beta' correlation"], ids=["factor", "sector"]
+    )
+    def test_simulate_with_nan_correlation(self, tmp_path, small_spec_file, matrix):
+        doc = json.loads(small_spec_file.read_text())
+        if matrix == "factor correlation":
+            doc["factor_correlation"][0][1] = doc["factor_correlation"][1][0] = float("nan")
+        else:
+            beta = doc["sectors"][1]
+            del beta["equicorrelation"]
+            beta["correlation"] = [[1.0, float("nan")], [float("nan"), 1.0]]
+        small_spec_file.write_text(json.dumps(doc))
+        stderr = self.assert_input_error(
+            "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
+        )
+        assert f"{matrix} contains non-finite entries" in stderr
 
     def test_simulate_with_negative_seed(self, tmp_path, small_spec_file):
         self.assert_input_error(

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hpca import InputError, sym_eig_sorted
+from hpca.eigen import sym_eig_sorted
+from hpca.errors import InputError
 
 
 def random_symmetric(rng, n):

@@ -7,32 +7,25 @@ import numpy as np
 import pytest
 
 import helpers
-from hpca import (
-    InputError,
-    MarketSpec,
-    ReturnsPanel,
-    SectorPartition,
-    SectorSpec,
-    build_factor_cov,
-    compare_eigenvectors,
-    correlation,
-    cumulative_variance,
-    eigenportfolio_series,
-    fit_hpca,
-    generate,
-    inter_sector_corr,
-    standardize,
-    sym_eig_sorted,
-)
+from hpca.eigen import sym_eig_sorted
+from hpca.errors import InputError
 from hpca.model import (
     MULTI_SECTOR,
     SECTOR,
     assemble_hpca_matrix,
     assemble_spectrum,
+    build_factor_cov,
+    compare_eigenvectors,
+    cumulative_variance,
+    eigenportfolio_series,
+    fit_hpca,
+    inter_sector_corr,
     load_model_dict,
     save_model,
 )
-from hpca.synth import ground_truth
+from hpca.panel import ReturnsPanel, correlation, standardize
+from hpca.sectors import SectorPartition
+from hpca.synth import MarketSpec, SectorSpec, default_market_spec, generate, ground_truth
 
 
 def raw_panel(values) -> ReturnsPanel:
@@ -228,7 +221,13 @@ class TestSpectrumAssembly:
         assert any(s.size == 1 for s in sectors)
         assert any(s.equicorrelation == 1.0 for s in sectors)
         models = [helpers.fit_from_spec(spec)[1] for spec in specs]
-        cases = [(m.spectrum, m.partition.n_sectors) for m in models] + [(tied_spectrum(), 2)]
+        # Every eigensystem is a Spectrum: the fitted spectrum, each sector
+        # model and the factor covariance answer vectors(k) alike.
+        cases = [(tied_spectrum(), 2)]
+        for m in models:
+            b = m.partition.n_sectors
+            cases += [(m.spectrum, b), (m.factor_cov, b)]
+            cases += [(sector, 1) for sector in m.sector_models]
         for spectrum, b in cases:
             full = spectrum.eigenvectors
             n = spectrum.size
@@ -250,8 +249,6 @@ class TestSpectrumAssembly:
         # Top-25-style table: the market factor leads, the 11 multi-sector
         # entries are all present, and named sector entries appear among the
         # remaining ranks.
-        from hpca import default_market_spec
-
         panel, model = helpers.fit_from_spec(default_market_spec(n_periods=1508))
         labels = model.spectrum.labels
         assert labels[0].kind == MULTI_SECTOR
@@ -434,7 +431,7 @@ class TestExport:
         panel, model = helpers.fit_from_spec(spec)
         save_model(model, tmp_path, include_matrix=True, vectors=2)
         doc = load_model_dict(tmp_path)
-        assert doc["assets"] == list(model.assets)
+        assert doc["assets"] == list(model.spectrum.assets)
         assert doc["sectors"] == list(model.partition.labels)
         np.testing.assert_array_equal(np.array(doc["matrix"]), model.matrix)
         np.testing.assert_array_equal(

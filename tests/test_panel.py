@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from hpca import panel as panel_module
-from hpca import (
-    InputError,
+from hpca.errors import InputError
+from hpca.panel import (
     ReturnsPanel,
     StandardizedPanel,
     correlation,
     load_panel,
-    loads_panel,
     standardize,
     write_panel,
 )
@@ -34,7 +33,7 @@ def make_panel(values, assets=None) -> ReturnsPanel:
 class TestLoadPanel:
     def test_clean_table(self):
         text = "date,AAA,BBB\n2020-01-01,0.1,0.2\n2020-01-02,-0.1,0.0\n2020-01-03,0.3,-0.2\n"
-        panel = loads_panel(text)
+        panel = load_panel(io.StringIO(text))
         assert panel.n_periods == 3
         assert panel.n_assets == 2
         assert panel.dropped_rows == 0
@@ -50,14 +49,14 @@ class TestLoadPanel:
             "2020-01-03,,0.4\n"
             "2020-01-04,0.3,-0.2\n"
         )
-        panel = loads_panel(text)
+        panel = load_panel(io.StringIO(text))
         assert panel.n_periods == 3
         assert panel.dropped_rows == 1
         assert "2020-01-03" not in panel.dates
 
     def test_na_tokens_dropped(self):
         text = "date,A,B\nd1,1,2\nd2,NaN,3\nd3,4,na\nd4,5,6\n"
-        panel = loads_panel(text)
+        panel = load_panel(io.StringIO(text))
         assert panel.n_periods == 2
         assert panel.dropped_rows == 2
 
@@ -70,35 +69,35 @@ class TestLoadPanel:
         values = rng.standard_normal((t, n))
         for i in range(t):
             rows.append(f"d{i}," + ",".join(f"{x:.6f}" for x in values[i]))
-        panel = loads_panel("\n".join(rows) + "\n")
+        panel = load_panel(io.StringIO("\n".join(rows) + "\n"))
         assert panel.n_periods == 1508
         assert panel.n_assets == 434
         assert panel.dropped_rows == 0
 
     def test_tab_delimiter_sniffed(self):
         text = "date\tA\tB\nd1\t0.1\t0.2\nd2\t0.3\t0.4\n"
-        panel = loads_panel(text)
+        panel = load_panel(io.StringIO(text))
         assert panel.assets == ("A", "B")
 
     def test_duplicate_assets_rejected(self):
         text = "date,A,A\nd1,1,2\nd2,3,4\n"
         with pytest.raises(InputError, match="duplicate"):
-            loads_panel(text)
+            load_panel(io.StringIO(text))
 
     def test_too_few_complete_rows(self):
         text = "date,A,B\nd1,1,2\nd2,,4\n"
         with pytest.raises(InputError, match="fewer than 2"):
-            loads_panel(text)
+            load_panel(io.StringIO(text))
 
     def test_non_numeric_cell_names_row_and_column(self):
         text = "date,A,B\nd1,1,2\nd2,3,oops\n"
         with pytest.raises(InputError, match=r"'oops' at row 3, column 'B'"):
-            loads_panel(text)
+            load_panel(io.StringIO(text))
 
     def test_ragged_row_rejected(self):
         text = "date,A,B\nd1,1,2\nd2,3\n"
         with pytest.raises(InputError, match="row 3"):
-            loads_panel(text)
+            load_panel(io.StringIO(text))
 
     def test_roundtrip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -123,7 +122,7 @@ class TestLoadPanel:
             "2020-01-01,0.1,-0.0,1e-05\n"
             '"Q1, ""early"" 2020",5e-324,1e+16,123456789.123\n'
         )
-        back = loads_panel(buf.getvalue())
+        back = load_panel(io.StringIO(buf.getvalue()))
         assert back.dates == panel.dates
         assert back.assets == panel.assets
         assert back.values.tobytes() == panel.values.tobytes()
@@ -133,7 +132,7 @@ def per_cell_load(text):
     """Reference reader: every cell through ``float``, one at a time.
 
     Returns ``(dates, assets, value bytes, dropped_rows)`` or raises the
-    ``InputError`` that ``loads_panel`` must raise.
+    ``InputError`` that ``load_panel`` must raise.
     """
     stream = io.StringIO(text)
     first = stream.readline()
@@ -236,10 +235,10 @@ def test_bulk_parse_matches_per_cell_reference(monkeypatch, text, bulk):
         expected = per_cell_load(text)
     except (InputError, csv.Error) as exc:
         with pytest.raises(type(exc)) as got:
-            loads_panel(text)
+            load_panel(io.StringIO(text))
         assert str(got.value) == str(exc)
     else:
-        panel = loads_panel(text)
+        panel = load_panel(io.StringIO(text))
         got = (panel.dates, panel.assets, panel.values.tobytes(), panel.dropped_rows)
         assert got == expected
     if bulk is not None:

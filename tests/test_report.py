@@ -6,18 +6,12 @@ import numpy as np
 import pytest
 
 import helpers
-from hpca import (
-    InputError,
-    MarketSpec,
-    SectorSpec,
-    build_comparison,
-    correlation,
-    fit_hpca,
-    generate,
-    standardize,
-    sym_eig_sorted,
-)
-from hpca.report import rank_one_delta, render_text, report_to_dict
+from hpca.eigen import Spectrum, sym_eig_sorted
+from hpca.errors import InputError
+from hpca.model import MULTI_SECTOR, LabeledSpectrum, SpectrumLabel, fit_hpca
+from hpca.panel import correlation, standardize
+from hpca.report import build_comparison, render_text, report_to_dict
+from hpca.synth import MarketSpec, SectorSpec, generate
 
 
 def fitted_pair(spec, seed=None):
@@ -30,13 +24,23 @@ def fitted_pair(spec, seed=None):
 
 class TestRankOneDelta:
     def test_formula(self):
-        delta = rank_one_delta(138.87, 137.19, 434)
+        n = 434
+        assets = tuple(f"A{i}" for i in range(n))
+
+        def spread(top):
+            """Leading eigenvalue ``top``; the other n - 1 share the rest of n."""
+            return np.r_[top, np.full(n - 1, (n - top) / (n - 1))]
+
+        plain = Spectrum(eigenvalues=spread(138.87), eigenvectors=np.eye(n))
+        hier = LabeledSpectrum(
+            eigenvalues=spread(137.19),
+            eigenvectors=np.eye(n),
+            assets=assets,
+            labels=(SpectrumLabel(kind=MULTI_SECTOR, rank=1),) * n,
+        )
+        delta = build_comparison(plain, hier, assets, top_k=0).rank_one_delta
         assert delta == pytest.approx((138.87 - 137.19) / 434, abs=1e-15)
         assert delta == pytest.approx(0.0038709677, abs=1e-9)
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(InputError):
-            rank_one_delta(1.0, 1.0, 0)
 
 
 class TestBuildComparison:

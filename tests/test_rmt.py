@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 import helpers
-from hpca import (
-    InputError,
-    ResidualPanel,
-    ReturnsPanel,
-    SectorPartition,
-    defactor,
-    fit_sector,
-    generate,
-    mp_density,
-    mp_threshold,
-    residual_spectrum,
-    standardize,
-)
+from hpca.eigen import sym_eig_sorted
+from hpca.errors import InputError
+from hpca.model import eigenportfolio_series
+from hpca.panel import ReturnsPanel, correlation, standardize
+from hpca.rmt import ResidualPanel, defactor, mp_density, mp_threshold, residual_spectrum
+from hpca.sectors import SectorPartition, fit_sector
+from hpca.synth import default_market_spec, generate
 
 
 def noise_panel(rng, t, n):
@@ -160,6 +154,30 @@ class TestDefactor:
         with pytest.raises(InputError, match=f"factor column {column} is"):
             defactor(panel, factors)
 
+    @pytest.mark.parametrize(
+        "m, duplicate, column",
+        [(5, None, 4), (6, None, 4), (6, 2, 2)],
+        ids=["m5", "m6", "m6-earlier-duplicate"],
+    )
+    def test_more_design_columns_than_periods(self, m, duplicate, column):
+        # With T = 5, the intercept plus m >= 5 factors cannot be independent:
+        # factor column T - 1 = 4 is the first whose design column has no
+        # pivot, unless an earlier factor already repeats one before it.
+        rng = np.random.default_rng(10)
+        panel = noise_panel(rng, 5, 3)
+        factors = rng.standard_normal((5, m))
+        if duplicate is not None:
+            factors[:, duplicate] = factors[:, 0]
+        with pytest.raises(InputError, match=f"factor column {column} is"):
+            defactor(panel, factors)
+
+    def test_square_design_is_accepted(self):
+        # T = 5 with m = 4: the full-rank square design explains every column.
+        rng = np.random.default_rng(10)
+        panel = noise_panel(rng, 5, 3)
+        residuals = defactor(panel, rng.standard_normal((5, 4)))
+        assert residuals.degenerate == panel.assets
+
     def test_length_mismatch(self):
         panel = noise_panel(np.random.default_rng(7), 20, 3)
         with pytest.raises(InputError):
@@ -231,8 +249,6 @@ class TestResidualSpectrum:
     def test_low_and_high_cutoffs_both_supported(self):
         # Both documented configurations: a handful of factors removed, or a
         # deep cutoff of thirty. Deeper cutoffs leave less structure behind.
-        from hpca import correlation, default_market_spec, eigenportfolio_series, sym_eig_sorted
-
         panel, _ = generate(default_market_spec(n_periods=1508), seed=0)
         panel = standardize(panel)
         spectrum = sym_eig_sorted(correlation(panel).values)

@@ -6,19 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from hpca import (
-    InputError,
-    ReturnsPanel,
-    SectorPartition,
-    StandardizedPanel,
-    default_market_spec,
-    factor_panel,
-    fit_all_sectors,
-    fit_sector,
-    generate,
-    load_sector_map,
-    standardize,
-)
+from hpca.errors import InputError
+from hpca.panel import ReturnsPanel, StandardizedPanel, standardize
+from hpca.sectors import SectorPartition, fit_all_sectors, fit_sector, load_sector_map
+from hpca.synth import default_market_spec, generate
 
 
 def standardize_helper(rng, t: int, n: int) -> StandardizedPanel:
@@ -128,24 +119,28 @@ class TestSectorInvariants:
 
 
 class TestFactorPanel:
+    """The T x b panel of sector factors that ``fit_hpca`` stacks."""
+
     def test_single_sector(self):
         rng = np.random.default_rng(8)
         panel = standardize_helper(rng, 30, 3)
-        factors = factor_panel(fit_all_sectors(panel, partition_of([3])))
+        models = fit_all_sectors(panel, partition_of([3]))
+        factors = np.column_stack([m.factor for m in models])
         assert factors.shape == (30, 1)
         assert abs(factors[:, 0].var(ddof=1) - 1.0) <= 1e-8
 
     def test_two_singleton_sectors_return_columns(self):
         rng = np.random.default_rng(9)
         panel = standardize_helper(rng, 40, 2)
-        factors = factor_panel(fit_all_sectors(panel, partition_of([1, 1])))
+        models = fit_all_sectors(panel, partition_of([1, 1]))
+        factors = np.column_stack([m.factor for m in models])
         np.testing.assert_allclose(factors, panel.values, atol=1e-12)
 
     def test_default_market_shape(self):
         spec = default_market_spec(n_periods=1508)
         panel, truth = generate(spec, seed=0)
         models = fit_all_sectors(standardize(panel), truth.partition)
-        factors = factor_panel(models)
+        factors = np.column_stack([m.factor for m in models])
         assert factors.shape == (1508, 11)
 
 

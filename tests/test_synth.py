@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 
 import helpers
-from hpca import (
-    InputError,
+from hpca.errors import InputError
+from hpca.model import fit_hpca
+from hpca.panel import load_panel, standardize, write_panel
+from hpca.synth import (
     MarketSpec,
     SectorSpec,
-    default_market_spec,
-    fit_hpca,
-    generate,
-    load_panel,
-    standardize,
-    write_panel,
-)
-from hpca.synth import (
     _correlate,
+    default_market_spec,
+    generate,
     ground_truth,
     load_market_spec,
     market_spec_from_dict,
@@ -170,6 +166,50 @@ class TestSpecValidation:
             back.sectors[0].correlation, spec.sectors[0].correlation
         )
         assert back.sectors[1].equicorrelation == 0.4
+
+    def test_rejects_nan_factor_correlation(self):
+        with pytest.raises(InputError, match="factor correlation contains non-finite"):
+            MarketSpec(
+                sectors=(SectorSpec(name="a", size=1), SectorSpec(name="b", size=1)),
+                factor_correlation=np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                n_periods=100,
+            )
+
+    def test_rejects_nan_sector_correlation(self):
+        block = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(InputError, match="sector 'a' correlation contains non-finite"):
+            MarketSpec(
+                sectors=(SectorSpec(name="a", size=2, correlation=block),),
+                factor_correlation=np.array([[1.0]]),
+                n_periods=100,
+            )
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [("size", 2.9), ("size", True), ("n_periods", 10.7), ("seed", 1.5), ("seed", True)],
+    )
+    def test_rejects_fractional_or_boolean_numbers(self, where, value):
+        doc = {
+            "n_periods": 10,
+            "factor_correlation": [[1.0]],
+            "sectors": [{"name": "a", "size": 2, "equicorrelation": 0.3}],
+        }
+        if where == "size":
+            doc["sectors"][0]["size"] = value
+        else:
+            doc[where] = value
+        with pytest.raises(InputError, match=f"{where} must be a whole number"):
+            market_spec_from_dict(doc)
+
+    def test_integral_floats_accepted(self):
+        spec = market_spec_from_dict({
+            "n_periods": 10.0,
+            "seed": 3.0,
+            "factor_correlation": [[1.0]],
+            "sectors": [{"name": "a", "size": 2.0, "equicorrelation": 0.3}],
+        })
+        assert (spec.sectors[0].size, spec.n_periods, spec.seed) == (2, 10, 3)
+        assert all(type(v) is int for v in (spec.sectors[0].size, spec.n_periods, spec.seed))
 
     def test_malformed_spec_rejected(self):
         with pytest.raises(InputError):
