@@ -68,29 +68,40 @@ def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
         raise InputError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InputError("matrix contains non-finite entries")
-    asym = float(np.abs(a - a.T).max())
+    diff = a - a.T
+    asym = float(np.abs(diff, out=diff).max())
     if asym > SYMMETRY_TOL:
         raise InputError(f"matrix is not symmetric: max |A - A^T| = {asym:g}")
-    a = 0.5 * (a + a.T)
+    a = np.add(a, a.T, out=diff)
+    a *= 0.5
 
     values, vectors = np.linalg.eigh(a)
-    values, vectors = values[::-1], vectors[:, ::-1]
+    # Non-increasing order, copied into the layouts the tie-break gather
+    # below gives (F order for the vectors): the last bits of later products
+    # and sums depend on the layout.
+    values = values[::-1].copy()
+    vectors = np.asfortranarray(vectors[:, ::-1])
 
-    # Stable secondary sort so exactly-tied eigenvalues have a fixed order.
-    order = np.lexsort((np.abs(vectors).argmax(axis=0), -values))
-    values = values[order]
-    vectors = vectors[:, order]
+    # Stable secondary sort so exactly-tied eigenvalues have a fixed order;
+    # with no tie the order is already final.
+    if (values[1:] >= values[:-1]).any():
+        order = np.lexsort((np.abs(vectors).argmax(axis=0), -values))
+        values = values[order]
+        vectors = vectors[:, order]
 
     # Sign rule: entry sum >= 0; when the sum is zero (to ``ZERO_SUM_TOL``),
     # the first entry of non-negligible magnitude is made positive instead.
     sums = np.ascontiguousarray(vectors.T).sum(axis=1)
-    large = np.abs(vectors) > ZERO_SUM_TOL
-    first = np.where(
-        large.any(axis=0), large.argmax(axis=0), (vectors != 0.0).argmax(axis=0)
-    )
-    lead = vectors[first, np.arange(vectors.shape[1])]
-    flip = (sums < -ZERO_SUM_TOL) | ((np.abs(sums) <= ZERO_SUM_TOL) & (lead < 0.0))
-    vectors[:, flip] *= -1.0
+    flip = sums < -ZERO_SUM_TOL
+    zero = np.flatnonzero(np.abs(sums) <= ZERO_SUM_TOL)
+    if zero.size:
+        cols = vectors[:, zero]
+        large = np.abs(cols) > ZERO_SUM_TOL
+        first = np.where(
+            large.any(axis=0), large.argmax(axis=0), (cols != 0.0).argmax(axis=0)
+        )
+        flip[zero] = cols[first, np.arange(zero.size)] < 0.0
+    vectors *= np.where(flip, -1.0, 1.0)
 
     values.setflags(write=False)
     vectors.setflags(write=False)

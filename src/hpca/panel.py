@@ -12,6 +12,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -68,12 +69,16 @@ class StandardizedPanel(ReturnsPanel):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        means = self.values.mean(axis=0)
-        stds = self.values.std(axis=0, ddof=1)
+        v = self.values
+        means = v.mean(axis=0)
         if np.abs(means).max() > STANDARDIZE_TOL:
             raise InputError(
                 f"column means not zero: max |mean| = {np.abs(means).max():g}"
             )
+        # With every mean that small, the root mean square about 0 equals the
+        # stdev to far below the tolerance, and einsum takes it in one pass
+        # with no T x n temporary.
+        stds = np.sqrt(np.einsum("ij,ij->j", v, v) / (self.n_periods - 1))
         if np.abs(stds - 1.0).max() > STANDARDIZE_TOL:
             raise InputError(
                 f"column stdevs not one: max |stdev - 1| = {np.abs(stds - 1.0).max():g}"
@@ -94,13 +99,15 @@ class CorrelationMatrix:
             raise InputError(f"correlation matrix must be square, got {v.shape}")
         if self.assets and len(self.assets) != v.shape[0]:
             raise InputError("asset labels do not match matrix size")
-        if np.abs(v - v.T).max() > 1e-12:
+        diff = v - v.T
+        if np.abs(diff, out=diff).max() > 1e-12:
             raise InputError("correlation matrix is not symmetric")
         if np.abs(np.diag(v) - 1.0).max() > 1e-12:
             raise InputError("correlation matrix diagonal is not 1")
-        if np.abs(v).max() > 1.0 + 1e-12:
+        largest = np.maximum(v.max(), -v.min())
+        if largest > 1.0 + 1e-12:
             raise InputError(
-                f"correlation entries outside [-1, 1]: max |entry| = {np.abs(v).max():.17g}"
+                f"correlation entries outside [-1, 1]: max |entry| = {largest:.17g}"
             )
 
     @property
@@ -277,11 +284,19 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
     Values are written with full round-trip precision, so a write/load
     cycle reproduces the panel bit for bit.
     """
-    rows = (
-        [date, *map(repr, row)]
-        for date, row in zip(panel.dates, panel.values.tolist())
+    # A float's repr never needs quoting, so only the header and the dates go
+    # through csv. Each date is written as the first of two cells, which
+    # gives it quoted as in a full row, followed by its delimiter.
+    prefixes: list[str] = []
+    csv.writer(SimpleNamespace(write=prefixes.append), lineterminator="\n").writerows(
+        (date, "") for date in panel.dates
     )
-    _write_rows(dest, ("date",) + panel.assets, rows)
+    with _text_stream(dest, "w") as stream:
+        csv.writer(stream, lineterminator="\n").writerow(("date",) + panel.assets)
+        stream.writelines(
+            f"{prefix[:-1]}{','.join(map(repr, row))}\n"
+            for prefix, row in zip(prefixes, panel.values.tolist())
+        )
 
 
 def standardize(panel: ReturnsPanel) -> StandardizedPanel:
@@ -292,17 +307,20 @@ def standardize(panel: ReturnsPanel) -> StandardizedPanel:
             by asset name.
     """
     values = panel.values
-    means = values.mean(axis=0)
-    stds = values.std(axis=0, ddof=1)
-    scale = np.maximum(1.0, np.abs(values).max(axis=0))
+    centered = values - values.mean(axis=0)
+    # The same bits as ``values.std(axis=0, ddof=1)``, which would center
+    # the panel a second time.
+    stds = np.sqrt(np.square(centered).sum(axis=0) / (panel.n_periods - 1))
+    scale = np.maximum(1.0, np.maximum(values.max(axis=0), -values.min(axis=0)))
     degenerate = np.flatnonzero(stds <= 1e-12 * scale)
     if degenerate.size:
         names = ", ".join(panel.assets[i] for i in degenerate)
         raise InputError(f"constant column(s) cannot be standardized: {names}")
+    centered /= stds
     return StandardizedPanel(
         dates=panel.dates,
         assets=panel.assets,
-        values=(values - means) / stds,
+        values=centered,
         dropped_rows=panel.dropped_rows,
     )
 

@@ -156,17 +156,16 @@ def defactor(
 
     residuals -= residuals.mean(axis=0)
     stds = residuals.std(axis=0, ddof=1)
-    degenerate = np.flatnonzero(stds <= 1e-12)
-    kept = np.setdiff1d(np.arange(panel.n_assets), degenerate)
-    residuals[:, kept] /= stds[kept]
-    residuals[:, degenerate] = 0.0
+    dead = stds <= 1e-12
+    residuals /= np.where(dead, 1.0, stds)
+    residuals[:, dead] = 0.0
     return ResidualPanel(
         dates=panel.dates,
         assets=panel.assets,
         values=residuals,
         model_type=model_type,
         cutoff=m,
-        degenerate=tuple(panel.assets[i] for i in degenerate),
+        degenerate=tuple(panel.assets[i] for i in np.flatnonzero(dead)),
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +58,18 @@ def _check_correlation(matrix: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int: an integer, or a float with no fractional part.
+
+    Booleans and everything else are refused, so a size read from JSON as
+    ``2.0`` works and ``2.5``, ``true`` or ``"2"`` do not.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise InputError(f"{what} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SectorSpec:
     """One sector's size and intra-block correlation structure.
@@ -69,6 +82,9 @@ class SectorSpec:
     size: int
     equicorrelation: float | None = None
     correlation: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", _whole(self.size, f"sector {self.name!r} size"))
 
     def block_correlation(self) -> np.ndarray:
         if self.size < 1:
@@ -107,6 +123,8 @@ class MarketSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_periods", _whole(self.n_periods, "n_periods"))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         if not self.sectors:
             raise InputError("market spec needs at least one sector")
         names = [s.name for s in self.sectors]
@@ -265,19 +283,12 @@ def market_spec_to_dict(spec: MarketSpec) -> dict:
     return doc
 
 
-def _whole(value, what: str) -> int:
-    """``int(value)``, refusing booleans and numbers with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InputError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def market_spec_from_dict(doc: dict) -> MarketSpec:
     try:
         sectors = tuple(
             SectorSpec(
                 name=entry["name"],
-                size=_whole(entry["size"], f"sector {entry['name']!r} size"),
+                size=entry["size"],
                 equicorrelation=entry.get("equicorrelation"),
                 correlation=(
                     np.asarray(entry["correlation"], dtype=float)
@@ -290,8 +301,8 @@ def market_spec_from_dict(doc: dict) -> MarketSpec:
         return MarketSpec(
             sectors=sectors,
             factor_correlation=np.asarray(doc["factor_correlation"], dtype=float),
-            n_periods=_whole(doc["n_periods"], "n_periods"),
-            seed=_whole(doc.get("seed", 0), "seed"),
+            n_periods=doc["n_periods"],
+            seed=doc.get("seed", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed market spec: {exc}") from exc

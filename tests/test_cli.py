@@ -1,6 +1,7 @@
 """End-to-end command-line workflows."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from hpca.cli import main
-from hpca.synth import MarketSpec, SectorSpec, save_market_spec
+from hpca.synth import MarketSpec, SectorSpec, default_market_spec, save_market_spec
 
 
 @pytest.fixture()
@@ -63,6 +64,24 @@ class TestSimulate:
         assert main(["simulate", "--spec", str(small_spec_file), "--seed", "3", "--out", str(out1)]) == 0
         assert main(["simulate", "--spec", str(small_spec_file), "--seed", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_integral_float_numbers_in_spec(self, tmp_path, small_spec_file):
+        doc = json.loads(small_spec_file.read_text())
+        doc["n_periods"] = float(doc["n_periods"])
+        doc["seed"] = float(doc["seed"])
+        doc["sectors"][0]["size"] = float(doc["sectors"][0]["size"])
+        float_spec = tmp_path / "float.json"
+        float_spec.write_text(json.dumps(doc))
+        outs = []
+        for spec in (small_spec_file, float_spec):
+            out = tmp_path / f"{spec.stem}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "hpca", "simulate", "--spec", str(spec), "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestFitAndSpectrum:
@@ -232,6 +251,38 @@ class TestErrorPaths:
         assert proc.stdout.startswith("hpca ")
 
 
+class TestDeterminismContract:
+    """Same machine and same BLAS thread count give the same bytes, run to run."""
+
+    def test_compare_json_repeats_at_each_thread_count(self, tmp_path):
+        spec_path = tmp_path / "market.json"
+        save_market_spec(default_market_spec(n_periods=600, seed=5), spec_path)
+        panel, sectors = tmp_path / "panel.csv", tmp_path / "sectors.csv"
+        assert main([
+            "simulate", "--spec", str(spec_path),
+            "--out", str(panel), "--sectors-out", str(sectors),
+        ]) == 0
+        argv = [
+            sys.executable, "-m", "hpca", "compare",
+            "--panel", str(panel), "--sectors", str(sectors), "--top", "25", "--json",
+        ]
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "MKL_NUM_THREADS": threads,
+            }
+            first, second = (
+                subprocess.run(argv, capture_output=True, env=env, timeout=300)
+                for _ in range(2)
+            )
+            assert first.returncode == 0, first.stderr.decode()
+            assert second.returncode == 0, second.stderr.decode()
+            assert json.loads(first.stdout)["n_assets"] == 462
+            assert first.stdout == second.stdout, f"{threads} BLAS thread(s)"
+
+
 class TestInputFailuresReportCleanly:
     """Bad input files exit 1 with an ``error:`` line, never a traceback."""
 
@@ -260,7 +311,8 @@ class TestInputFailuresReportCleanly:
         )
 
     @pytest.mark.parametrize(
-        "where, value", [("size", 2.9), ("n_periods", 10.7), ("seed", 1.5), ("seed", True)]
+        "where, value",
+        [("size", 2.9), ("size", True), ("n_periods", 10.7), ("seed", 1.5), ("seed", True)],
     )
     def test_simulate_with_fractional_number(self, tmp_path, small_spec_file, where, value):
         doc = json.loads(small_spec_file.read_text())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hpca.eigen import sym_eig_sorted
+from hpca.eigen import ZERO_SUM_TOL, sym_eig_sorted
 from hpca.errors import InputError
 
 
@@ -128,3 +128,55 @@ class TestInvariants:
                 assert col[nz[0]] > 0
             else:
                 assert col.sum() > 0
+
+
+def two_pass_eig(matrix):
+    """The decomposition as first written: a full tie-break gather, then masked sign flips."""
+    a = np.asarray(matrix, dtype=float)
+    a = 0.5 * (a + a.T)
+    values, vectors = np.linalg.eigh(a)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    order = np.lexsort((np.abs(vectors).argmax(axis=0), -values))
+    values = values[order]
+    vectors = vectors[:, order]
+    sums = np.ascontiguousarray(vectors.T).sum(axis=1)
+    large = np.abs(vectors) > ZERO_SUM_TOL
+    first = np.where(
+        large.any(axis=0), large.argmax(axis=0), (vectors != 0.0).argmax(axis=0)
+    )
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    flip = (sums < -ZERO_SUM_TOL) | ((np.abs(sums) <= ZERO_SUM_TOL) & (lead < 0.0))
+    vectors[:, flip] *= -1.0
+    return values, vectors
+
+
+def _block_ties():
+    block = np.array([[1.0, 0.4], [0.4, 1.0]])
+    return np.kron(np.eye(3), block)
+
+
+class TestMatchesTwoPassFormula:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            random_symmetric(np.random.default_rng(20), 1),
+            random_symmetric(np.random.default_rng(21), 9),
+            random_symmetric(np.random.default_rng(22), 120),
+            np.eye(4),
+            np.diag([2.0, 1.0, 2.0, -0.0, 0.0]),
+            np.ones((5, 5)),
+            _block_ties(),
+            np.array([[1.0, -0.3], [-0.3, 1.0]]),
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+        ],
+        ids=[
+            "random-1", "random-9", "random-120", "identity", "diagonal-ties",
+            "all-ones", "repeated-blocks", "zero-sum-pair", "zero-sum-antidiagonal",
+        ],
+    )
+    def test_same_bits_and_f_order(self, matrix):
+        values, vectors = two_pass_eig(matrix)
+        spec = sym_eig_sorted(matrix)
+        assert spec.eigenvalues.tobytes() == values.tobytes()
+        assert spec.eigenvectors.tobytes() == vectors.tobytes()
+        assert spec.eigenvectors.flags.f_contiguous

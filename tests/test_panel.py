@@ -277,6 +277,53 @@ class TestStandardize:
         assert np.abs(std.values.mean(axis=0)).max() <= 1e-12
         assert np.abs(std.values.std(axis=0, ddof=1) - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("t", [2, 3, 1000, 50000])
+    def test_invariants_hold_from_two_rows_to_long_panels(self, t):
+        rng = np.random.default_rng(t)
+        n = 3 if t > 1000 else 8
+        std = standardize(make_panel(rng.standard_normal((t, n)) * 0.02 + 0.01))
+        assert np.abs(std.values.mean(axis=0)).max() <= 1e-12
+        assert np.abs(std.values.std(axis=0, ddof=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "t, n, scale, offset",
+        [
+            (2, 1, 1.0, 0.0),
+            (2, 4, 3.0, -1.0),
+            (3, 1, 1e-9, 0.0),
+            (40, 6, 1e-9, 5e-9),
+            (40, 6, 1e9, 1e10),
+            (257, 5, 1.0, 100.0),
+            (1200, 3, 1e-3, 0.0),
+        ],
+    )
+    def test_bits_match_the_two_pass_formula(self, t, n, scale, offset):
+        values = np.random.default_rng(t + n).standard_normal((t, n)) * scale + offset
+        expected = (values - values.mean(axis=0)) / values.std(axis=0, ddof=1)
+        std = standardize(make_panel(values))
+        assert std.values.tobytes() == expected.tobytes()
+
+
+class TestStandardizedPanelValidation:
+    def test_accepts_a_standardized_panel(self):
+        values = np.array([[1.0, -1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+        assert StandardizedPanel(("d0", "d1"), ("A", "B"), values).n_assets == 2
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.array([[1.0], [-1.0]]) / math.sqrt(2.0) + 1e-9, "column means not zero"),
+            (np.array([[1.0], [-1.0]]), "column stdevs not one"),
+            (np.array([[1.0], [-1.0]]) / math.sqrt(2.0) * (1.0 + 1e-9), "column stdevs not one"),
+            (np.zeros((3, 1)), "column stdevs not one"),
+        ],
+        ids=["mean", "stdev-large", "stdev-near", "zero"],
+    )
+    def test_rejects_hand_built_panel_that_is_not_standardized(self, values, message):
+        dates = tuple(f"d{i}" for i in range(values.shape[0]))
+        with pytest.raises(InputError, match=message):
+            StandardizedPanel(dates, ("A",), values)
+
 
 class TestCorrelation:
     def test_identical_columns(self):
@@ -331,6 +378,21 @@ class TestReturnsPanelValidation:
     def test_rejects_nan(self):
         with pytest.raises(InputError):
             make_panel([[1.0, np.nan], [2.0, 3.0]])
+
+    def test_write_panel_matches_csv_writer(self):
+        # Dates that need quoting or look like a missing cell, each in a row
+        # of floats whose repr text spans exponents, signs and -0.0.
+        dates = ("2020-01-01", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "", "NA", "é")
+        values = np.random.default_rng(8).standard_normal((len(dates), 3)) * 10.0 ** np.arange(-7, 8, 7)
+        values[0] = [-0.0, 5e-324, 1e300]
+        panel = ReturnsPanel(dates=dates, assets=("A,1", 'B"', "C"), values=values)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("date",) + panel.assets)
+        writer.writerows([date, *map(repr, row)] for date, row in zip(dates, values.tolist()))
+        buf = io.StringIO()
+        write_panel(panel, buf)
+        assert buf.getvalue() == expected.getvalue()
 
     def test_write_panel_to_stream(self):
         panel = make_panel([[0.5, -0.25], [1.5, 0.125]])

@@ -178,6 +178,28 @@ class TestDefactor:
         residuals = defactor(panel, rng.standard_normal((5, 4)))
         assert residuals.degenerate == panel.assets
 
+    @pytest.mark.parametrize(
+        "t, n, dead",
+        [(40, 6, ()), (40, 6, (0, 4)), (300, 9, (1, 2, 8)), (5, 3, (0, 1, 2))],
+    )
+    def test_bits_match_the_gather_formula(self, t, n, dead):
+        # Factors that span some panel columns leave those columns degenerate.
+        rng = np.random.default_rng(t + n)
+        panel = noise_panel(rng, t, n)
+        factors = np.column_stack([panel.values[:, list(dead)], rng.standard_normal((t, 1))])
+        q, _ = np.linalg.qr(np.column_stack([np.ones(t), factors]))
+        expected = panel.values - q @ (q.T @ panel.values)
+        expected -= expected.mean(axis=0)
+        stds = expected.std(axis=0, ddof=1)
+        degenerate = np.flatnonzero(stds <= 1e-12)
+        kept = np.setdiff1d(np.arange(n), degenerate)
+        expected[:, kept] /= stds[kept]
+        expected[:, degenerate] = 0.0
+        residuals = defactor(panel, factors)
+        assert residuals.values.tobytes() == expected.tobytes()
+        assert residuals.degenerate == tuple(panel.assets[i] for i in degenerate)
+        assert degenerate.tolist() == sorted(dead)
+
     def test_length_mismatch(self):
         panel = noise_panel(np.random.default_rng(7), 20, 3)
         with pytest.raises(InputError):

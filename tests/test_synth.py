@@ -211,6 +211,32 @@ class TestSpecValidation:
         assert (spec.sectors[0].size, spec.n_periods, spec.seed) == (2, 10, 3)
         assert all(type(v) is int for v in (spec.sectors[0].size, spec.n_periods, spec.seed))
 
+    @pytest.mark.parametrize(
+        "build, where",
+        [
+            (lambda: SectorSpec(name="a", size=2.5), "sector 'a' size"),
+            (lambda: SectorSpec(name="a", size=True), "sector 'a' size"),
+            (lambda: SectorSpec(name="a", size="2"), "sector 'a' size"),
+            (lambda: MarketSpec((SectorSpec("a", 2, 0.3),), np.eye(1), n_periods=10.5), "n_periods"),
+            (lambda: MarketSpec((SectorSpec("a", 2, 0.3),), np.eye(1), n_periods=True), "n_periods"),
+            (lambda: MarketSpec((SectorSpec("a", 2, 0.3),), np.eye(1), n_periods=10, seed=0.5), "seed"),
+        ],
+        ids=["size-fraction", "size-bool", "size-str", "periods-fraction", "periods-bool", "seed-fraction"],
+    )
+    def test_library_specs_reject_non_whole_numbers(self, build, where):
+        with pytest.raises(InputError, match=f"{where} must be a whole number"):
+            build()
+
+    def test_library_specs_accept_integral_floats(self):
+        spec = MarketSpec(
+            (SectorSpec("a", 2.0, 0.3), SectorSpec("b", np.int64(1))),
+            np.eye(2), n_periods=np.float64(10.0), seed=3.0,
+        )
+        assert (spec.sectors[0].size, spec.sectors[1].size, spec.n_periods, spec.seed) == (2, 1, 10, 3)
+        assert all(type(v) is int for v in (spec.sectors[0].size, spec.sectors[1].size, spec.n_periods, spec.seed))
+        panel, _ = generate(spec)
+        assert panel.values.shape == (10, 3)
+
     def test_malformed_spec_rejected(self):
         with pytest.raises(InputError):
             market_spec_from_dict({"sectors": [{"name": "x"}]})
