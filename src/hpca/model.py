@@ -11,7 +11,6 @@ sector eigenvector carried over unchanged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +19,7 @@ import numpy as np
 
 from .eigen import Spectrum, sym_eig_sorted
 from .errors import InputError, NumericalError
-from .panel import StandardizedPanel, _gram_correlation, _text_stream, _write_rows
+from .panel import StandardizedPanel, _dump_json, _gram_correlation, _load_json, _write_rows
 from .sectors import SectorModel, SectorPartition, fit_all_sectors
 
 MULTI_SECTOR = "multi-sector"
@@ -247,53 +246,6 @@ def fit_hpca(panel: StandardizedPanel, partition: SectorPartition) -> HpcaModel:
     )
 
 
-def cumulative_variance(eigenvalues: np.ndarray, n: int) -> np.ndarray:
-    """Partial sums of a descending eigenvalue list divided by ``n``."""
-    values = np.asarray(eigenvalues, dtype=float)
-    if values.ndim != 1:
-        raise InputError("eigenvalues must be a vector")
-    if values.size > 1 and (np.diff(values) > 1e-12).any():
-        raise InputError("eigenvalues must be sorted in decreasing order")
-    if n < 1:
-        raise InputError("n must be positive")
-    return np.cumsum(values) / n
-
-
-@dataclass(frozen=True)
-class EigenvectorComparison:
-    """Entrywise difference statistics between two unit eigenvectors.
-
-    ``rms_distance`` is the centered RMS (population standard deviation) of
-    the entry differences after sign alignment; ``mean_abs_entry`` is the
-    average entry magnitude across both vectors, the natural yardstick for
-    the other two numbers.
-    """
-
-    rms_distance: float
-    mean_difference: float
-    mean_abs_entry: float
-
-
-def compare_eigenvectors(a: np.ndarray, b: np.ndarray) -> EigenvectorComparison:
-    """Compare two unit vectors after aligning the sign of ``b`` to ``a``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InputError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    for name, v in (("first", a), ("second", b)):
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-6:
-            raise InputError(f"{name} vector is not unit norm (|v| = {norm:.6g})")
-    if float(a @ b) < 0.0:
-        b = -b
-    diff = a - b
-    return EigenvectorComparison(
-        rms_distance=float(diff.std()),
-        mean_difference=float(diff.mean()),
-        mean_abs_entry=float(0.5 * (np.abs(a).mean() + np.abs(b).mean())),
-    )
-
-
 def eigenportfolio_series(
     values: np.ndarray,
     eigenvalues: np.ndarray,
@@ -363,9 +315,7 @@ def save_model(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / MODEL_FILENAME
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, include_matrix=include_matrix), fh, indent=1)
-        fh.write("\n")
+    _dump_json(model_to_dict(model, include_matrix=include_matrix), path)
     if vectors > 0:
         write_eigenvector_table(model.spectrum, directory / VECTORS_FILENAME, vectors)
     return path
@@ -378,11 +328,7 @@ def load_model_dict(directory: str | Path) -> dict:
         path = path / MODEL_FILENAME
     if not path.exists():
         raise InputError(f"no model file at {path}")
-    with _text_stream(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"model file {path} is not valid JSON: {exc}") from None
+    return _load_json(path, f"model file {path}")
 
 
 def write_eigenvector_table(spectrum: LabeledSpectrum, dest: str | Path, count: int) -> None:

@@ -8,6 +8,7 @@ price-to-return or log/arithmetic conversion is the caller's job.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -129,6 +130,22 @@ def _text_stream(source: str | Path | TextIO, mode: str = "r") -> Iterator[TextI
             yield source
     except UnicodeDecodeError as exc:
         raise InputError(f"{source} is not UTF-8 text: {exc.reason}") from None
+
+
+def _dump_json(doc, path: str | Path) -> None:
+    """Write a JSON document as UTF-8 text, one-space indented, newline-terminated."""
+    with _text_stream(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def _load_json(path: str | Path, what: str):
+    """Parse a UTF-8 JSON file; malformed JSON is an :class:`InputError` naming ``what``."""
+    with _text_stream(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _write_rows(dest: str | Path | TextIO, header, rows) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .panel import StandardizedPanel, _gram_correlation
+from .panel import ReturnsPanel, StandardizedPanel, _gram_correlation
 
 DEFAULT_GRID_SIZE = 51
 
@@ -34,9 +34,6 @@ class MpReference:
     grid so empirical and reference curves line up exactly.
     """
 
-    n: int
-    t: int
-    gamma: float
     lambda_minus: float
     lambda_plus: float
     grid: np.ndarray
@@ -54,8 +51,7 @@ def mp_density(n: int, t: int, grid_size: int = DEFAULT_GRID_SIZE) -> MpReferenc
     support ``[l-, l+]`` and vanishes at both edges. Aspect ratios
     ``gamma = n/T > 1`` (rank-deficient correlation matrices) are rejected.
     """
-    if n < 1 or t < 1:
-        raise InputError(f"need n >= 1 and T >= 1, got n={n}, T={t}")
+    hi = mp_threshold(n, t)
     if grid_size < 2:
         raise InputError(f"grid size must be at least 2, got {grid_size}")
     gamma = n / t
@@ -63,9 +59,7 @@ def mp_density(n: int, t: int, grid_size: int = DEFAULT_GRID_SIZE) -> MpReferenc
         raise InputError(
             f"aspect ratio n/T = {gamma:g} > 1 is out of scope (rank-deficient)"
         )
-    sqrt_g = np.sqrt(gamma)
-    lo = float((1.0 - sqrt_g) ** 2)
-    hi = float((1.0 + sqrt_g) ** 2)
+    lo = float((1.0 - np.sqrt(gamma)) ** 2)
     grid = np.linspace(lo, hi, grid_size)
     inner = np.clip((hi - grid) * (grid - lo), 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -73,34 +67,20 @@ def mp_density(n: int, t: int, grid_size: int = DEFAULT_GRID_SIZE) -> MpReferenc
     density = np.where(grid > 0.0, density, 0.0)
     density[0] = 0.0
     density[-1] = 0.0
-    return MpReference(
-        n=n, t=t, gamma=gamma, lambda_minus=lo, lambda_plus=hi,
-        grid=grid, density=density,
-    )
+    return MpReference(lambda_minus=lo, lambda_plus=hi, grid=grid, density=density)
 
 
-@dataclass
-class ResidualPanel:
-    """Re-standardized least-squares residuals of a panel against factors.
+@dataclass(kw_only=True)
+class ResidualPanel(ReturnsPanel):
+    """Re-standardized least-squares residuals of a panel against ``cutoff`` factors.
 
     Columns flagged in ``degenerate`` had (numerically) zero residual
     variance and are left as zeros instead of being rescaled.
     """
 
-    dates: tuple[str, ...]
-    assets: tuple[str, ...]
-    values: np.ndarray
     model_type: str
     cutoff: int
     degenerate: tuple[str, ...] = ()
-
-    @property
-    def n_periods(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_assets(self) -> int:
-        return self.values.shape[1]
 
 
 def defactor(
@@ -115,8 +95,9 @@ def defactor(
     An empty factor set is the identity: the panel is returned unchanged.
 
     Raises:
-        InputError: factor matrix with linearly dependent columns (the
-            first dependent column is named) or mismatched length.
+        InputError: factor matrix with non-finite entries, with linearly
+            dependent columns (the first dependent column is named) or of
+            mismatched length.
     """
     if not isinstance(panel, StandardizedPanel):
         raise InputError("defactor expects a standardized panel")
@@ -127,12 +108,15 @@ def defactor(
         raise InputError(
             f"factor matrix must be {panel.n_periods} x m, got {f.shape}"
         )
+    if not np.isfinite(f).all():
+        raise InputError("factor matrix contains non-finite values")
     m = f.shape[1]
     if m == 0:
         return ResidualPanel(
             dates=panel.dates,
             assets=panel.assets,
             values=panel.values.copy(),
+            dropped_rows=panel.dropped_rows,
             model_type=model_type,
             cutoff=0,
         )
@@ -163,6 +147,7 @@ def defactor(
         dates=panel.dates,
         assets=panel.assets,
         values=residuals,
+        dropped_rows=panel.dropped_rows,
         model_type=model_type,
         cutoff=m,
         degenerate=tuple(panel.assets[i] for i in np.flatnonzero(dead)),
@@ -180,13 +165,6 @@ class ResidualReport:
     leading_share: float
     hist_edges: np.ndarray
     hist_counts: np.ndarray
-    reference: MpReference
-    model_type: str
-    cutoff: int
-
-    @property
-    def n_assets(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def residual_spectrum(residuals: ResidualPanel, ref: MpReference) -> ResidualReport:
@@ -197,13 +175,8 @@ def residual_spectrum(residuals: ResidualPanel, ref: MpReference) -> ResidualRep
     covered. ``leading_share`` is the top eigenvalue divided by n, a proxy
     for the average residual correlation level.
     """
-    x = residuals.values
-    t, n = x.shape
-    if t < 2 or n < 1:
-        raise InputError(f"residual panel too small: {x.shape}")
-    if not np.isfinite(x).all():
-        raise InputError("residual panel contains non-finite values")
-    corr = _gram_correlation(x, t - 1)
+    n = residuals.n_assets
+    corr = _gram_correlation(residuals.values, residuals.n_periods - 1)
     ev = np.linalg.eigvalsh(corr)[::-1]
 
     width = ref.bin_width
@@ -216,16 +189,14 @@ def residual_spectrum(residuals: ResidualPanel, ref: MpReference) -> ResidualRep
     edges = np.concatenate([left, ref.grid, right])
     counts, _ = np.histogram(ev, bins=edges)
 
-    offdiag = corr[~np.eye(n, dtype=bool)]
     return ResidualReport(
         eigenvalues=ev,
         leading_eigenvalue=float(ev[0]),
         count_above_threshold=int((ev > ref.lambda_plus).sum()),
-        mean_offdiag_correlation=float(offdiag.mean()) if n > 1 else 0.0,
+        mean_offdiag_correlation=(
+            float((corr.sum() - n) / (n * (n - 1))) if n > 1 else 0.0
+        ),
         leading_share=float(ev[0] / n),
         hist_edges=edges,
         hist_counts=counts,
-        reference=ref,
-        model_type=residuals.model_type,
-        cutoff=residuals.cutoff,
     )

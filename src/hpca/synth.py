@@ -11,7 +11,6 @@ population matrix is assembled on access, as the tests' exact oracle.
 from __future__ import annotations
 
 import datetime
-import json
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 from .eigen import Spectrum, sym_eig_sorted
 from .errors import InputError
 from .model import assemble_hpca_matrix
-from .panel import ReturnsPanel, _text_stream
+from .panel import ReturnsPanel, _dump_json, _load_json
 from .sectors import SectorPartition, _leading_betas
 
 PSD_TOL = -1e-10
@@ -310,16 +309,9 @@ def market_spec_from_dict(doc: dict) -> MarketSpec:
 
 def load_market_spec(path: str | Path) -> MarketSpec:
     """Read a market spec from a JSON document."""
-    with _text_stream(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"market spec is not valid JSON: {exc}") from exc
-    return market_spec_from_dict(doc)
+    return market_spec_from_dict(_load_json(path, "market spec"))
 
 
 def save_market_spec(spec: MarketSpec, path: str | Path) -> None:
     """Write a market spec as JSON (inverse of :func:`load_market_spec`)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(market_spec_to_dict(spec), fh, indent=1)
-        fh.write("\n")
+    _dump_json(market_spec_to_dict(spec), path)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from hpca.model import HpcaModel, fit_hpca
+from hpca.eigen import Spectrum
+from hpca.model import MULTI_SECTOR, HpcaModel, LabeledSpectrum, SpectrumLabel, fit_hpca
 from hpca.panel import StandardizedPanel, standardize
 from hpca.sectors import SectorPartition
 from hpca.synth import MarketSpec, SectorSpec, generate
@@ -104,6 +105,26 @@ def fit_from_spec(
     panel, truth = generate(spec, seed=seed)
     std = standardize(panel)
     return std, fit_hpca(std, truth.partition)
+
+
+def comparison_pair(plain_values, hier_values, plain_vectors=None, hier_vectors=None):
+    """A plain and a hierarchical spectrum over the assets A0..A{n-1}.
+
+    Eigenvectors default to the identity; every label is multi-sector.
+    """
+    n = len(plain_values)
+    assets = tuple(f"A{i}" for i in range(n))
+    plain = Spectrum(
+        eigenvalues=np.asarray(plain_values, dtype=float),
+        eigenvectors=np.eye(n) if plain_vectors is None else plain_vectors,
+    )
+    hier = LabeledSpectrum(
+        eigenvalues=np.asarray(hier_values, dtype=float),
+        eigenvectors=np.eye(n) if hier_vectors is None else hier_vectors,
+        assets=assets,
+        labels=(SpectrumLabel(kind=MULTI_SECTOR, rank=1),) * n,
+    )
+    return plain, hier, assets
 
 
 def random_partition(rng: np.random.Generator, n: int, b: int) -> SectorPartition:

@@ -153,6 +153,26 @@ class TestCompare:
         assert len(doc["rows"]) == 6
         assert abs(sum(doc["hpca_eigenvalues"]) - 6.0) < 1e-6
 
+    def test_output_field_order(self, simulated, capsys):
+        panel, sectors = simulated
+        args = ["compare", "--panel", str(panel), "--sectors", str(sectors), "--top", "2"]
+        assert main([*args, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == [
+            "n_assets", "rank_one_delta", "min_pca_eigenvalue", "min_hpca_eigenvalue",
+            "rows", "pca_eigenvalues", "hpca_eigenvalues", "hpca_labels",
+            "pca_cumulative", "hpca_cumulative",
+        ]
+        for row in doc["rows"]:
+            assert list(row) == [
+                "rank", "pca_eigenvalue", "hpca_eigenvalue", "label",
+                "rms_distance", "mean_difference", "mean_abs_entry",
+            ]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[5] == "rank\tpca\thpca\tlabel\trms_distance\tmean_difference\tmean_abs_entry"
+        assert [line.split("\t")[0] for line in lines[6:]] == ["1", "2"]
+
     def test_repeat_runs_identical(self, simulated, capsys):
         panel, sectors = simulated
         args = ["compare", "--panel", str(panel), "--sectors", str(sectors)]

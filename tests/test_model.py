@@ -1,13 +1,14 @@
 """Hierarchical matrix assembly and its closed-form labeled spectrum."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import helpers
-from hpca.eigen import sym_eig_sorted
+from hpca.eigen import Spectrum, sym_eig_sorted
 from hpca.errors import InputError
 from hpca.model import (
     MULTI_SECTOR,
@@ -15,8 +16,6 @@ from hpca.model import (
     assemble_hpca_matrix,
     assemble_spectrum,
     build_factor_cov,
-    compare_eigenvectors,
-    cumulative_variance,
     eigenportfolio_series,
     fit_hpca,
     inter_sector_corr,
@@ -24,6 +23,7 @@ from hpca.model import (
     save_model,
 )
 from hpca.panel import ReturnsPanel, correlation, standardize
+from hpca.report import build_comparison
 from hpca.sectors import SectorPartition
 from hpca.synth import MarketSpec, SectorSpec, default_market_spec, generate, ground_truth
 
@@ -357,38 +357,29 @@ class TestAnalyticOracle:
         assert abs(model.spectrum.eigenvalues.sum() - n) <= 1e-6
 
 
-class TestCumulativeVariance:
-    def test_flat_spectrum_is_linear(self):
-        curve = cumulative_variance(np.ones(4), 4)
-        np.testing.assert_allclose(curve, [0.25, 0.5, 0.75, 1.0])
-
-    def test_four_asset_curve(self):
-        curve = cumulative_variance(np.array([3.0, 1.0, 0.0, 0.0]), 4)
-        np.testing.assert_allclose(curve, [0.75, 1.0, 1.0, 1.0])
-
-    def test_full_model_curve_ends_at_one(self):
-        rng = np.random.default_rng(17)
-        panel, model = helpers.fit_from_spec(helpers.random_market_spec(rng))
-        curve = cumulative_variance(model.spectrum.eigenvalues, model.n_assets)
-        assert curve[-1] == pytest.approx(1.0, abs=1e-6)
-        assert np.all(np.diff(curve) >= -1e-15)
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(InputError):
-            cumulative_variance(np.array([1.0, 2.0]), 2)
+def first_rank(a, b):
+    """The rank-1 row comparing leading eigenvectors ``a`` and ``b`` on a flat spectrum."""
+    n = a.size
+    rest = np.eye(n)[:, 1:]
+    plain, hier, assets = helpers.comparison_pair(
+        np.ones(n), np.ones(n), np.column_stack([a, rest]), np.column_stack([b, rest])
+    )
+    return build_comparison(plain, hier, assets, top_k=1).rows[0]
 
 
 class TestCompareEigenvectors:
+    """The per-rank eigenvector statistics of ``build_comparison``."""
+
     def test_identical(self):
         v = np.ones(10) / math.sqrt(10.0)
-        stats = compare_eigenvectors(v, v)
-        assert stats.rms_distance == 0.0
-        assert stats.mean_difference == 0.0
+        row = first_rank(v, v)
+        assert row.rms_distance == 0.0
+        assert row.mean_difference == 0.0
 
     def test_sign_flip_aligned(self):
         v = np.ones(10) / math.sqrt(10.0)
-        stats = compare_eigenvectors(v, -v)
-        assert stats.rms_distance == 0.0
+        row = first_rank(v, -v)
+        assert row.rms_distance == 0.0
 
     def test_noise_of_known_size_measured(self):
         n, sigma = 434, 5e-3
@@ -396,17 +387,68 @@ class TestCompareEigenvectors:
         a = np.ones(n) / math.sqrt(n)
         noisy = a + rng.normal(0.0, sigma, n)
         noisy /= np.linalg.norm(noisy)
-        stats = compare_eigenvectors(a, noisy)
-        assert abs(stats.rms_distance - sigma) <= 0.2 * sigma
-        assert stats.mean_abs_entry == pytest.approx(1.0 / math.sqrt(n), rel=0.05)
+        row = first_rank(a, noisy)
+        assert abs(row.rms_distance - sigma) <= 0.2 * sigma
+        assert row.mean_abs_entry == pytest.approx(1.0 / math.sqrt(n), rel=0.05)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            compare_eigenvectors(np.ones(3) / math.sqrt(3), np.ones(4) / 2.0)
+        plain, hier, assets = helpers.comparison_pair(np.ones(4), np.ones(4))
+        short = Spectrum(eigenvalues=np.ones(4), eigenvectors=np.eye(3, 4))
+        with pytest.raises(InputError, match="plain eigenvectors have 3 entries for 4 assets"):
+            build_comparison(short, hier, assets, top_k=1)
+        short_hier = dataclasses.replace(hier, eigenvectors=np.eye(3, 4))
+        with pytest.raises(InputError, match="hierarchical eigenvectors have 3 entries"):
+            build_comparison(plain, short_hier, assets, top_k=1)
+
+    def test_eigenvalue_count_mismatch(self):
+        plain, _, _ = helpers.comparison_pair(np.ones(3), np.ones(3))
+        _, hier, assets = helpers.comparison_pair(np.ones(4), np.ones(4))
+        with pytest.raises(InputError, match="3 eigenvalues for 4 assets"):
+            build_comparison(plain, hier, assets, top_k=1)
 
     def test_requires_unit_norm(self):
-        with pytest.raises(InputError):
-            compare_eigenvectors(np.ones(4), np.ones(4) / 2.0)
+        with pytest.raises(InputError, match="plain eigenvector 1 is not unit norm"):
+            first_rank(np.ones(4), np.ones(4) / 2.0)
+        with pytest.raises(InputError, match="hierarchical eigenvector 1 is not unit norm"):
+            first_rank(np.ones(4) / 2.0, np.ones(4))
+
+    def test_only_compared_ranks_need_unit_norm(self):
+        vectors = np.eye(3)
+        vectors[:, 2] *= 2.0
+        plain, hier, assets = helpers.comparison_pair(np.ones(3), np.ones(3), vectors, vectors)
+        assert len(build_comparison(plain, hier, assets, top_k=2).rows) == 2
+        with pytest.raises(InputError, match="eigenvector 3 is not unit norm"):
+            build_comparison(plain, hier, assets, top_k=3)
+
+
+class TestCumulativeVariance:
+    """The cumulative-variance curves of ``build_comparison``."""
+
+    def test_flat_spectrum_is_linear(self):
+        report = build_comparison(*helpers.comparison_pair(np.ones(4), np.ones(4)), top_k=0)
+        np.testing.assert_allclose(report.pca_cumulative, [0.25, 0.5, 0.75, 1.0])
+        np.testing.assert_allclose(report.hpca_cumulative, [0.25, 0.5, 0.75, 1.0])
+
+    def test_four_asset_curve(self):
+        values = [3.0, 1.0, 0.0, 0.0]
+        report = build_comparison(*helpers.comparison_pair(values, values), top_k=0)
+        np.testing.assert_allclose(report.hpca_cumulative, [0.75, 1.0, 1.0, 1.0])
+
+    def test_full_model_curve_ends_at_one(self):
+        rng = np.random.default_rng(17)
+        panel, model = helpers.fit_from_spec(helpers.random_market_spec(rng))
+        pca = sym_eig_sorted(correlation(panel).values)
+        report = build_comparison(pca, model.spectrum, panel.assets)
+        for curve in (report.pca_cumulative, report.hpca_cumulative):
+            assert curve[-1] == pytest.approx(1.0, abs=1e-6)
+            assert np.all(np.diff(curve) >= -1e-15)
+
+    def test_rejects_unsorted(self):
+        low, high = np.array([0.5, 1.5]), np.array([1.5, 0.5])
+        with pytest.raises(InputError, match="plain eigenvalues must be sorted"):
+            build_comparison(*helpers.comparison_pair(low, high), top_k=0)
+        with pytest.raises(InputError, match="hierarchical eigenvalues must be sorted"):
+            build_comparison(*helpers.comparison_pair(high, low), top_k=0)
 
 
 class TestEigenportfolioSeries:

@@ -142,3 +142,26 @@ class TestRendering:
         assert lines[0].startswith("assets:")
         assert any(line.startswith("rank\t") for line in lines)
         assert len(report.rows) == 3
+
+    def test_rows_written_from_their_fields(self):
+        # Both writers walk the row's fields: strings as they are, numbers as
+        # their repr. The CLI tests pin the key order and the header.
+        values = [2.0, 0.5, 0.5]
+        report = build_comparison(*helpers.comparison_pair(values, values), top_k=2)
+        doc = report_to_dict(report)
+        assert doc["rows"][1] == {
+            "rank": 2, "pca_eigenvalue": 0.5, "hpca_eigenvalue": 0.5,
+            "label": "Multi-sector", "rms_distance": 0.0, "mean_difference": 0.0,
+            "mean_abs_entry": 1.0 / 3.0,
+        }
+        assert doc["hpca_labels"] == ["Multi-sector"] * 3
+        assert render_text(report).splitlines() == [
+            "assets: 3",
+            "rank-1 explanatory delta: 0.0",
+            "smallest eigenvalue (pca): 0.5",
+            "smallest eigenvalue (hpca): 0.5",
+            "",
+            "rank\tpca\thpca\tlabel\trms_distance\tmean_difference\tmean_abs_entry",
+            f"1\t2.0\t2.0\tMulti-sector\t0.0\t0.0\t{1.0 / 3.0!r}",
+            f"2\t0.5\t0.5\tMulti-sector\t0.0\t0.0\t{1.0 / 3.0!r}",
+        ]

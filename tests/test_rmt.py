@@ -1,5 +1,7 @@
 """Noise-spectrum reference and residual defactoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,25 @@ class TestDefactor:
         assert residuals.degenerate == tuple(panel.assets[i] for i in degenerate)
         assert degenerate.tolist() == sorted(dead)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factors_rejected(self, bad):
+        panel = noise_panel(np.random.default_rng(13), 40, 3)
+        factors = np.random.default_rng(14).standard_normal((40, 3))
+        factors[11, 1] = bad
+        with pytest.raises(InputError, match="factor matrix contains non-finite values"):
+            defactor(panel, factors)
+
+    def test_residual_panel_is_a_returns_panel(self):
+        panel = noise_panel(np.random.default_rng(15), 30, 4)
+        panel = dataclasses.replace(panel, dropped_rows=3)
+        for factors, model_type in ((panel.values[:, :1], "pca"), (np.empty((30, 0)), "hpca")):
+            residuals = defactor(panel, factors, model_type=model_type)
+            assert isinstance(residuals, ReturnsPanel)
+            assert (residuals.n_periods, residuals.n_assets) == (30, 4)
+            assert (residuals.model_type, residuals.cutoff) == (model_type, factors.shape[1])
+            assert residuals.dates == panel.dates and residuals.assets == panel.assets
+            assert residuals.dropped_rows == 3
+
     def test_length_mismatch(self):
         panel = noise_panel(np.random.default_rng(7), 20, 3)
         with pytest.raises(InputError):
@@ -239,15 +260,22 @@ class TestResidualSpectrum:
     def test_non_finite_residuals_rejected(self, n):
         values = np.random.default_rng(12).standard_normal((50, n))
         values[7, 0] = np.nan
-        residuals = ResidualPanel(
-            dates=tuple(f"d{i}" for i in range(50)),
-            assets=tuple(f"A{i}" for i in range(n)),
-            values=values,
-            model_type="custom",
-            cutoff=0,
-        )
         with pytest.raises(InputError, match="non-finite"):
-            residual_spectrum(residuals, mp_density(n, 50))
+            ResidualPanel(
+                dates=tuple(f"d{i}" for i in range(50)),
+                assets=tuple(f"A{i}" for i in range(n)),
+                values=values,
+                model_type="custom",
+                cutoff=0,
+            )
+
+    @pytest.mark.parametrize("t, n", [(40, 1), (40, 2), (200, 20)])
+    def test_mean_offdiag_is_the_masked_mean(self, t, n):
+        panel = noise_panel(np.random.default_rng(t + n), t, n)
+        report = residual_spectrum(defactor(panel, np.empty((t, 0))), mp_density(n, t))
+        corr = correlation(panel).values
+        expected = corr[~np.eye(n, dtype=bool)].mean() if n > 1 else 0.0
+        assert report.mean_offdiag_correlation == pytest.approx(expected, abs=1e-15)
 
     def test_histogram_bins_align_with_reference_grid(self):
         rng = np.random.default_rng(10)
@@ -280,8 +308,9 @@ class TestResidualSpectrum:
             factors = eigenportfolio_series(
                 panel.values, spectrum.eigenvalues, spectrum.eigenvectors, m
             )
-            report = residual_spectrum(defactor(panel, factors, model_type="pca"), ref)
-            assert report.cutoff == m
+            residuals = defactor(panel, factors, model_type="pca")
+            assert residuals.cutoff == m
+            report = residual_spectrum(residuals, ref)
             leaders[m] = report.leading_eigenvalue
         assert leaders[30] < leaders[3] < spectrum.eigenvalues[0]
 
