@@ -44,14 +44,23 @@ class Spectrum:
         return self.eigenvectors[:, :count]
 
 
+def _asymmetry(a: np.ndarray) -> float:
+    """``max |A - A^T|``; 0.0, with no n x n float temporary, if ``A`` equals ``A^T`` bitwise."""
+    if np.array_equal(a.view(np.uint64), a.T.view(np.uint64)):
+        return 0.0
+    diff = a - a.T
+    return float(np.abs(diff, out=diff).max())
+
+
 def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
     """Decompose a real symmetric matrix deterministically.
 
-    The input is symmetrized as ``(A + A^T) / 2``, eigenvalues are returned
-    in non-increasing order, ties are broken by the index of the
-    largest-magnitude eigenvector entry, and each eigenvector is sign-fixed
-    so its entry sum is non-negative. Two calls on bitwise-identical inputs
-    return bitwise-identical results.
+    The input is symmetrized as ``(A + A^T) / 2``; for an exactly symmetric
+    input that is ``A`` bit for bit, so it is skipped and makes no copy.
+    Eigenvalues are returned in non-increasing order, ties are broken by the
+    index of the largest-magnitude eigenvector entry, and each eigenvector is
+    sign-fixed so its entry sum is non-negative. Two calls on
+    bitwise-identical inputs return bitwise-identical results.
 
     Args:
         matrix: square 2-d array, symmetric to ``SYMMETRY_TOL``.
@@ -68,12 +77,11 @@ def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
         raise InputError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InputError("matrix contains non-finite entries")
-    diff = a - a.T
-    asym = float(np.abs(diff, out=diff).max())
+    asym = _asymmetry(a)
     if asym > SYMMETRY_TOL:
         raise InputError(f"matrix is not symmetric: max |A - A^T| = {asym:g}")
-    a = np.add(a, a.T, out=diff)
-    a *= 0.5
+    if asym:
+        a = 0.5 * (a + a.T)
 
     values, vectors = np.linalg.eigh(a)
     # Non-increasing order, copied into the layouts the tie-break gather

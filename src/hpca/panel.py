@@ -18,6 +18,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
+from .eigen import _asymmetry
 from .errors import InputError
 
 # Cell contents treated as a missing observation (case-insensitive).
@@ -100,8 +101,7 @@ class CorrelationMatrix:
             raise InputError(f"correlation matrix must be square, got {v.shape}")
         if self.assets and len(self.assets) != v.shape[0]:
             raise InputError("asset labels do not match matrix size")
-        diff = v - v.T
-        if np.abs(diff, out=diff).max() > 1e-12:
+        if _asymmetry(v) > 1e-12:
             raise InputError("correlation matrix is not symmetric")
         if np.abs(np.diag(v) - 1.0).max() > 1e-12:
             raise InputError("correlation matrix diagonal is not 1")
@@ -157,9 +157,15 @@ def _write_rows(dest: str | Path | TextIO, header, rows) -> None:
 
 
 def _gram_correlation(x: np.ndarray, divisor: float) -> np.ndarray:
-    """``x^T x / divisor``, symmetrized, with the diagonal set to exactly 1."""
-    c = x.T @ x / divisor
-    c = 0.5 * (c + c.T)
+    """``x^T x / divisor``, symmetrized, with the diagonal set to exactly 1.
+
+    For a C- or F-contiguous ``x`` numpy's product is already exactly
+    symmetric, so symmetrizing is skipped and makes no n x n copy.
+    """
+    c = x.T @ x
+    c /= divisor
+    if _asymmetry(c):
+        c = 0.5 * (c + c.T)
     np.fill_diagonal(c, 1.0)
     return c
 

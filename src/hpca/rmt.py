@@ -136,10 +136,14 @@ def defactor(
             "factor matrix is rank deficient: factor column "
             f"{dependent[0]} is linearly dependent"
         )
-    residuals = panel.values - q @ (q.T @ panel.values)
+    residuals = q @ (q.T @ panel.values)
+    np.subtract(panel.values, residuals, out=residuals)
 
     residuals -= residuals.mean(axis=0)
-    stds = residuals.std(axis=0, ddof=1)
+    # std by 64-column blocks makes a T x 64 centered copy, not T x n; same bits.
+    stds = np.concatenate(
+        [residuals[:, j : j + 64].std(axis=0, ddof=1) for j in range(0, panel.n_assets, 64)]
+    )
     dead = stds <= 1e-12
     residuals /= np.where(dead, 1.0, stds)
     residuals[:, dead] = 0.0

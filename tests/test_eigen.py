@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hpca.eigen import ZERO_SUM_TOL, sym_eig_sorted
+from hpca.eigen import SYMMETRY_TOL, ZERO_SUM_TOL, sym_eig_sorted
 from hpca.errors import InputError
 
 
@@ -65,6 +65,12 @@ class TestErrors:
     def test_asymmetric_rejected(self):
         a = np.eye(3)
         a[0, 1] = 1e-3
+        with pytest.raises(InputError, match="not symmetric"):
+            sym_eig_sorted(a)
+
+    def test_asymmetry_just_above_tolerance_rejected(self):
+        a = np.eye(3)
+        a[2, 0] = 2.0 * SYMMETRY_TOL
         with pytest.raises(InputError, match="not symmetric"):
             sym_eig_sorted(a)
 
@@ -155,6 +161,12 @@ def _block_ties():
     return np.kron(np.eye(3), block)
 
 
+def _nearly_symmetric():
+    a = random_symmetric(np.random.default_rng(23), 40)
+    a[3, 17] += 1e-12
+    return a
+
+
 class TestMatchesTwoPassFormula:
     @pytest.mark.parametrize(
         "matrix",
@@ -168,10 +180,12 @@ class TestMatchesTwoPassFormula:
             _block_ties(),
             np.array([[1.0, -0.3], [-0.3, 1.0]]),
             np.array([[0.0, 1.0], [1.0, 0.0]]),
+            _nearly_symmetric(),
         ],
         ids=[
             "random-1", "random-9", "random-120", "identity", "diagonal-ties",
             "all-ones", "repeated-blocks", "zero-sum-pair", "zero-sum-antidiagonal",
+            "asymmetric-1e-12",
         ],
     )
     def test_same_bits_and_f_order(self, matrix):

@@ -10,8 +10,10 @@ import pytest
 from hpca import panel as panel_module
 from hpca.errors import InputError
 from hpca.panel import (
+    CorrelationMatrix,
     ReturnsPanel,
     StandardizedPanel,
+    _gram_correlation,
     correlation,
     load_panel,
     standardize,
@@ -368,6 +370,35 @@ class TestCorrelation:
     def test_requires_standardized_panel(self):
         with pytest.raises(InputError):
             correlation(make_panel([[1.0, 2.0], [3.0, 4.0]]))
+
+    @pytest.mark.parametrize(
+        "layout", ["c-ordered", "f-ordered-gather", "strided-view"]
+    )
+    def test_gram_bits_match_the_symmetrized_formula(self, layout):
+        # numpy fills both triangles of ``x.T @ x`` from one for a C- or
+        # F-contiguous ``x``. The strided view's product is not exactly
+        # symmetric (numpy 2.4, 100 columns), so it takes the symmetrizing path.
+        x = np.random.default_rng(8).standard_normal((200, 200))
+        x = {
+            "c-ordered": x,
+            "f-ordered-gather": x[:, np.r_[3:80, 110:170]],
+            "strided-view": x[:, ::2],
+        }[layout]
+        expected = x.T @ x / 199
+        expected = 0.5 * (expected + expected.T)
+        np.fill_diagonal(expected, 1.0)
+        c = _gram_correlation(x, 199)
+        assert c.tobytes() == expected.tobytes()
+        assert np.array_equal(c, c.T)
+
+    @pytest.mark.parametrize("asymmetry", [0.0, 1e-13])
+    def test_matrix_symmetric_within_tolerance_accepted(self, asymmetry):
+        values = np.array([[1.0, 0.3], [0.3 + asymmetry, 1.0]])
+        assert CorrelationMatrix(values).n_assets == 2
+
+    def test_matrix_asymmetry_above_tolerance_rejected(self):
+        with pytest.raises(InputError, match="correlation matrix is not symmetric"):
+            CorrelationMatrix(np.array([[1.0, 0.3], [0.3 + 1e-11, 1.0]]))
 
 
 class TestReturnsPanelValidation:

@@ -182,7 +182,10 @@ class TestDefactor:
 
     @pytest.mark.parametrize(
         "t, n, dead",
-        [(40, 6, ()), (40, 6, (0, 4)), (300, 9, (1, 2, 8)), (5, 3, (0, 1, 2))],
+        [
+            (40, 6, ()), (40, 6, (0, 4)), (300, 9, (1, 2, 8)), (5, 3, (0, 1, 2)),
+            (200, 150, (0, 63, 64, 149)),
+        ],
     )
     def test_bits_match_the_gather_formula(self, t, n, dead):
         # Factors that span some panel columns leave those columns degenerate.
