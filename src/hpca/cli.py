@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .model import (
     load_model_dict,
     save_model,
 )
-from .panel import _write_rows, correlation, load_panel, standardize, write_panel
+from .panel import _dump_json, _write_rows, correlation, load_panel, standardize, write_panel
 from .report import build_comparison, render_text, report_to_dict
 from .rmt import mp_density, residual_spectrum, defactor
 from .sectors import SectorPartition, load_sector_map
@@ -97,8 +96,7 @@ def _cmd_compare(args) -> int:
     model = fit_hpca(panel, partition)
     report = build_comparison(pca, model.spectrum, panel.assets, top_k=args.top)
     if args.json:
-        json.dump(report_to_dict(report), sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        _dump_json(report_to_dict(report), sys.stdout)
     else:
         sys.stdout.write(render_text(report))
     return EXIT_OK

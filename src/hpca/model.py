@@ -174,15 +174,15 @@ def assemble_spectrum(
     if mixing.size != b:
         raise InputError("factor covariance size does not match sector count")
 
-    # Entries 0..b-1 are multi-sector; then each sector's orders 2..s_k.
+    # Entries 0..b-1 are multi-sector; then each sector's orders 2..s_k. That
+    # layout is already the tie order, so a stable sort keeps it on ties.
     sizes = partition.sizes
-    kind = np.repeat([0, 1], [b, n - b])
-    sector = np.concatenate([np.arange(b), np.repeat(np.arange(b), sizes - 1)])
-    order = np.concatenate([np.zeros(b, dtype=int)] + [np.arange(1, s) for s in sizes])
+    sector = np.repeat(np.arange(b), sizes - 1)
+    order = np.concatenate([np.arange(1, s) for s in sizes])
     values = np.concatenate(
         [mixing.eigenvalues] + [spec.eigenvalues[1:] for spec in sector_spectra]
     )
-    rank = np.lexsort((order, sector, kind, -values))
+    rank = np.argsort(-values, kind="stable")
     column = np.empty(n, dtype=int)
     column[rank] = np.arange(n)
 
@@ -191,13 +191,12 @@ def assemble_spectrum(
     for k, spec in enumerate(sector_spectra):
         members = partition.members(k)
         leading[members, k] = spec.eigenvectors[:, 0]
-        cols = column[(sector == k) & (kind == 1)]
-        vectors[np.ix_(members, cols)] = spec.eigenvectors[:, 1:]
+        vectors[np.ix_(members, column[b:][sector == k])] = spec.eigenvectors[:, 1:]
     vectors[:, column[:b]] = leading @ mixing.eigenvectors
 
     labels = [SpectrumLabel(kind=MULTI_SECTOR, rank=r + 1) for r in range(b)] + [
         SpectrumLabel(kind=SECTOR, sector=partition.labels[k], order=j + 1)
-        for k, j in zip(sector[b:].tolist(), order[b:].tolist())
+        for k, j in zip(sector.tolist(), order.tolist())
     ]
     return LabeledSpectrum(
         assets=tuple(assets),

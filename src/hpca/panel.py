@@ -11,7 +11,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterator, TextIO
@@ -89,18 +89,17 @@ class StandardizedPanel(ReturnsPanel):
 
 @dataclass
 class CorrelationMatrix:
-    """n x n sample correlation matrix with asset labels."""
+    """n x n sample correlation matrix; the panel it came from owns the labels."""
 
     values: np.ndarray
-    assets: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InputError(f"correlation matrix must be square, got {v.shape}")
-        if self.assets and len(self.assets) != v.shape[0]:
-            raise InputError("asset labels do not match matrix size")
+        if not np.isfinite(v).all():
+            raise InputError("correlation matrix contains non-finite entries")
         if _asymmetry(v) > 1e-12:
             raise InputError("correlation matrix is not symmetric")
         if np.abs(np.diag(v) - 1.0).max() > 1e-12:
@@ -110,10 +109,6 @@ class CorrelationMatrix:
             raise InputError(
                 f"correlation entries outside [-1, 1]: max |entry| = {largest:.17g}"
             )
-
-    @property
-    def n_assets(self) -> int:
-        return self.values.shape[0]
 
 
 @contextmanager
@@ -132,9 +127,9 @@ def _text_stream(source: str | Path | TextIO, mode: str = "r") -> Iterator[TextI
         raise InputError(f"{source} is not UTF-8 text: {exc.reason}") from None
 
 
-def _dump_json(doc, path: str | Path) -> None:
-    """Write a JSON document as UTF-8 text, one-space indented, newline-terminated."""
-    with _text_stream(path, "w") as fh:
+def _dump_json(doc, dest: str | Path | TextIO) -> None:
+    """Write a JSON document to a path or stream, one-space indented, newline-terminated."""
+    with _text_stream(dest, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -357,4 +352,4 @@ def correlation(panel: StandardizedPanel) -> CorrelationMatrix:
     if not isinstance(panel, StandardizedPanel):
         raise InputError("correlation expects a standardized panel")
     c = _gram_correlation(panel.values, panel.n_periods - 1)
-    return CorrelationMatrix(values=c, assets=panel.assets)
+    return CorrelationMatrix(c)

@@ -149,22 +149,25 @@ class MarketSpec:
     def n_sectors(self) -> int:
         return len(self.sectors)
 
+    @property
+    def partition(self) -> SectorPartition:
+        """Contiguous sectors in spec order, labelled by sector name."""
+        return SectorPartition(
+            labels=tuple(s.name for s in self.sectors),
+            assignment=np.repeat(np.arange(self.n_sectors), [s.size for s in self.sectors]),
+        )
 
-@dataclass
-class GroundTruth:
-    """Population quantities behind a generated panel."""
-
-    partition: SectorPartition
-    factor_correlation: np.ndarray
-    sector_correlations: tuple[np.ndarray, ...]
-    sector_spectra: tuple[Spectrum, ...]
+    @property
+    def sector_spectra(self) -> tuple[Spectrum, ...]:
+        """Population spectrum of each sector block, decomposed anew on each access."""
+        return tuple(sym_eig_sorted(s.block_correlation()) for s in self.sectors)
 
     @property
     def population_matrix(self) -> np.ndarray:
         """The dense n x n hierarchical matrix, assembled anew on each access."""
         return assemble_hpca_matrix(
             self.partition,
-            self.sector_correlations,
+            [s.block_correlation() for s in self.sectors],
             [_leading_betas(sp) for sp in self.sector_spectra],
             self.factor_correlation,
         )
@@ -183,57 +186,48 @@ def _date_labels(count: int) -> tuple[str, ...]:
     return tuple((start + datetime.timedelta(days=i)).isoformat() for i in range(count))
 
 
-def ground_truth(spec: MarketSpec) -> GroundTruth:
-    """Population partition, blocks and their spectra for a spec."""
-    blocks = tuple(s.block_correlation() for s in spec.sectors)
-    return GroundTruth(
-        partition=SectorPartition.from_mapping(_asset_names(spec), sector_map_for(spec)),
-        factor_correlation=spec.factor_correlation,
-        sector_correlations=blocks,
-        sector_spectra=tuple(sym_eig_sorted(block) for block in blocks),
-    )
-
-
 def _root(spectrum: Spectrum) -> np.ndarray:
     """``V sqrt(clip(L, 0))``: a square root ``R`` with ``R R^T`` the matrix."""
     return spectrum.eigenvectors * np.sqrt(np.clip(spectrum.eigenvalues, 0.0, None))
 
 
-def _correlate(truth: GroundTruth, shocks: np.ndarray) -> np.ndarray:
+def _correlate(spec: MarketSpec, shocks: np.ndarray) -> np.ndarray:
     """Map T x n standard normal shocks to draws with the population correlation.
 
     Each sector's first column of ``shocks`` is overwritten with its factor
     (mixed by the factor root); each contiguous sector block is then
     multiplied by its sector root, whose first column is the beta vector.
     """
-    starts = np.cumsum(truth.partition.sizes) - truth.partition.sizes
-    factor_root = _root(sym_eig_sorted(truth.factor_correlation))
+    sizes = spec.partition.sizes
+    starts = np.cumsum(sizes) - sizes
+    factor_root = _root(sym_eig_sorted(spec.factor_correlation))
     shocks[:, starts] = shocks[:, starts] @ factor_root.T
     out = np.empty(shocks.shape)
-    for start, spectrum in zip(starts.tolist(), truth.sector_spectra):
+    for start, spectrum in zip(starts.tolist(), spec.sector_spectra):
         block = slice(start, start + spectrum.size)
         np.matmul(shocks[:, block], _root(spectrum).T, out=out[:, block])
     return out
 
 
-def generate(spec: MarketSpec, seed: int | None = None) -> tuple[ReturnsPanel, GroundTruth]:
+def generate(spec: MarketSpec, seed: int | None = None) -> tuple[ReturnsPanel, MarketSpec]:
     """Draw a Gaussian panel whose population correlation is the spec's matrix.
 
     Deterministic for a given (spec, seed); ``seed`` defaults to the spec's
-    own seed field and must be non-negative.
+    own seed field and must be non-negative. The spec comes back beside the
+    panel as its ground truth: ``partition``, ``sector_spectra`` and
+    ``population_matrix``.
     """
     seed = spec.seed if seed is None else seed
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    truth = ground_truth(spec)
     rng = np.random.default_rng(seed)
     shocks = rng.standard_normal((spec.n_periods, spec.n_assets))
     panel = ReturnsPanel(
         dates=_date_labels(spec.n_periods),
         assets=_asset_names(spec),
-        values=_correlate(truth, shocks),
+        values=_correlate(spec, shocks),
     )
-    return panel, truth
+    return panel, spec
 
 
 def sector_map_for(spec: MarketSpec) -> dict[str, str]:

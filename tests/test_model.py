@@ -25,7 +25,7 @@ from hpca.model import (
 from hpca.panel import ReturnsPanel, correlation, standardize
 from hpca.report import build_comparison
 from hpca.sectors import SectorPartition
-from hpca.synth import MarketSpec, SectorSpec, default_market_spec, generate, ground_truth
+from hpca.synth import MarketSpec, SectorSpec, default_market_spec, generate
 
 
 def raw_panel(values) -> ReturnsPanel:
@@ -49,12 +49,15 @@ def four_asset_parts():
     return partition, [block, block.copy()], betas, rho
 
 
-def tied_spectrum():
+def tied_parts():
     """Identity blocks and uncorrelated factors: every eigenvalue is 1."""
     partition = SectorPartition(labels=("p", "q"), assignment=np.array([0, 1, 1]))
     spectra = [sym_eig_sorted(np.eye(1)), sym_eig_sorted(np.eye(2))]
-    cov = build_factor_cov([1.0, 1.0], np.eye(2))
-    return assemble_spectrum(partition, spectra, cov, ("a", "b", "c"))
+    return partition, spectra, build_factor_cov([1.0, 1.0], np.eye(2))
+
+
+def tied_spectrum():
+    return assemble_spectrum(*tied_parts(), ("a", "b", "c"))
 
 
 class TestInterSectorCorr:
@@ -197,6 +200,50 @@ class TestSpectrumAssembly:
         np.testing.assert_array_equal(labeled.eigenvalues, [1.0, 1.0, 1.0])
         assert [lab.kind for lab in labeled.labels] == [MULTI_SECTOR, MULTI_SECTOR, SECTOR]
 
+    @pytest.mark.parametrize("case", ["tied", "equicorrelated"])
+    def test_merge_order_matches_lexsort_reference(self, case):
+        if case == "tied":
+            parts, assets = tied_parts(), ("a", "b", "c")
+        else:
+            # Same-size equicorrelated sectors repeat each other's spectra bit
+            # for bit, and identity blocks tie their eigenvalues of 1 with the
+            # multi-sector ones over uncorrelated factors.
+            spec = MarketSpec(
+                sectors=tuple(
+                    SectorSpec(name=f"s{k}", size=size, equicorrelation=rho)
+                    for k, (size, rho) in enumerate(
+                        [(4, 0.3), (3, 0.0), (4, 0.3), (1, None), (3, 0.0), (4, 0.3)]
+                    )
+                ),
+                factor_correlation=np.eye(6),
+                n_periods=10,
+            )
+            spectra = spec.sector_spectra
+            assert spectra[0].eigenvalues.tobytes() == spectra[2].eigenvalues.tobytes()
+            mixing = build_factor_cov([sp.eigenvalues[0] for sp in spectra], np.eye(6))
+            parts = (spec.partition, spectra, mixing)
+            assets = tuple(f"A{i}" for i in range(spec.n_assets))
+        labeled = assemble_spectrum(*parts, assets)
+        partition, spectra, mixing = parts
+        # The reference: by value, then multi-sector first, then by sector and
+        # order, as a lexsort over explicit keys.
+        entries = [(0, k, 0, v) for k, v in enumerate(mixing.eigenvalues.tolist())] + [
+            (1, k, j, v)
+            for k, sp in enumerate(spectra)
+            for j, v in enumerate(sp.eigenvalues[1:].tolist(), start=1)
+        ]
+        kind, sector, order, values = (np.array(col) for col in zip(*entries))
+        assert set(kind[values == 1.0].tolist()) == {0, 1}
+        rank = np.lexsort((order, sector, kind, -values))
+        expected = [
+            (MULTI_SECTOR, sector[i] + 1, None, None) if kind[i] == 0
+            else (SECTOR, None, partition.labels[sector[i]], order[i] + 1)
+            for i in rank
+        ]
+        got = [(lab.kind, lab.rank, lab.sector, lab.order) for lab in labeled.labels]
+        assert got == expected
+        assert labeled.eigenvalues.tobytes() == values[rank].tobytes()
+
     def test_label_census(self):
         rng = np.random.default_rng(9)
         spec = helpers.random_market_spec(rng, max_sectors=5, min_size=1)
@@ -288,19 +335,18 @@ class TestAnalyticOracle:
         rng = np.random.default_rng(12)
         for trial in range(15):
             spec = helpers.random_market_spec(rng, max_sectors=4, min_size=3)
-            truth = ground_truth(spec)
             cov = build_factor_cov(
-                [sp.eigenvalues[0] for sp in truth.sector_spectra],
+                [sp.eigenvalues[0] for sp in spec.sector_spectra],
                 spec.factor_correlation,
             )
             labeled = assemble_spectrum(
-                truth.partition,
-                truth.sector_spectra,
+                spec.partition,
+                spec.sector_spectra,
                 cov,
                 tuple(f"A{i}" for i in range(spec.n_assets)),
             )
             value_err, vector_err, projector_err = helpers.max_spectrum_errors(
-                truth.population_matrix, labeled.eigenvalues, labeled.eigenvectors
+                spec.population_matrix, labeled.eigenvalues, labeled.eigenvectors
             )
             scale = max(1.0, float(labeled.eigenvalues[0]))
             assert value_err <= 1e-8 * scale

@@ -394,11 +394,21 @@ class TestCorrelation:
     @pytest.mark.parametrize("asymmetry", [0.0, 1e-13])
     def test_matrix_symmetric_within_tolerance_accepted(self, asymmetry):
         values = np.array([[1.0, 0.3], [0.3 + asymmetry, 1.0]])
-        assert CorrelationMatrix(values).n_assets == 2
+        assert CorrelationMatrix(values).values.shape == (2, 2)
 
     def test_matrix_asymmetry_above_tolerance_rejected(self):
         with pytest.raises(InputError, match="correlation matrix is not symmetric"):
             CorrelationMatrix(np.array([[1.0, 0.3], [0.3 + 1e-11, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[[1.0, np.nan], [np.nan, 1.0]], [[np.nan, 0.3], [0.3, 1.0]]],
+        ids=["off-diagonal", "diagonal"],
+    )
+    def test_matrix_with_nan_rejected(self, values):
+        # Every other check compares with ``>``, which a NaN never satisfies.
+        with pytest.raises(InputError, match="correlation matrix contains non-finite entries"):
+            CorrelationMatrix(np.array(values))
 
 
 class TestReturnsPanelValidation:

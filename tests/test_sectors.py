@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hpca.errors import InputError
+from hpca.model import fit_hpca
 from hpca.panel import ReturnsPanel, StandardizedPanel, standardize
 from hpca.sectors import SectorPartition, fit_all_sectors, fit_sector, load_sector_map
 from hpca.synth import default_market_spec, generate
@@ -91,6 +92,33 @@ class TestFitSector:
         panel = standardize_helper(rng, 25, 6)
         for k, model in enumerate(fit_all_sectors(panel, partition_of([2, 4]))):
             assert np.abs(model.betas).max() <= 1.0 + 1e-10
+
+
+class TestFitSectorInputErrors:
+    def test_rejects_unstandardized_panel(self):
+        raw = ReturnsPanel(
+            dates=("d0", "d1", "d2"),
+            assets=("A", "B"),
+            values=[[1.0, 2.0], [3.0, 5.0], [4.0, 4.0]],
+        )
+        with pytest.raises(InputError, match="fit_sector expects a standardized panel"):
+            fit_sector(raw, partition_of([2]), 0)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [lambda panel, part: fit_sector(panel, part, 0), fit_hpca],
+        ids=["fit_sector", "fit_hpca"],
+    )
+    def test_rejects_partition_of_another_size(self, fit):
+        panel = standardize_helper(np.random.default_rng(11), 20, 5)
+        with pytest.raises(InputError, match="partition covers 4 assets, panel has 5"):
+            fit(panel, partition_of([2, 2]))
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_rejects_sector_index_out_of_range(self, k):
+        panel = standardize_helper(np.random.default_rng(12), 20, 4)
+        with pytest.raises(InputError, match=f"sector index {k} out of range"):
+            fit_sector(panel, partition_of([2, 2]), k)
 
 
 class TestSectorInvariants:

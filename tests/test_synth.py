@@ -7,13 +7,13 @@ import helpers
 from hpca.errors import InputError
 from hpca.model import fit_hpca
 from hpca.panel import load_panel, standardize, write_panel
+from hpca.sectors import SectorPartition
 from hpca.synth import (
     MarketSpec,
     SectorSpec,
     _correlate,
     default_market_spec,
     generate,
-    ground_truth,
     load_market_spec,
     market_spec_from_dict,
     market_spec_to_dict,
@@ -54,18 +54,16 @@ class TestGenerate:
         rng = np.random.default_rng(2)
         for trial in range(25):
             spec = helpers.random_market_spec(rng)
-            truth = ground_truth(spec)
-            assert np.linalg.eigvalsh(truth.population_matrix).min() >= -1e-10
+            assert np.linalg.eigvalsh(spec.population_matrix).min() >= -1e-10
 
     def test_population_matrix_matches_block_structure(self):
         rng = np.random.default_rng(3)
         spec = helpers.random_market_spec(rng, max_sectors=3, min_size=2)
-        truth = ground_truth(spec)
         start = 0
-        for s, spectrum in zip(spec.sectors, truth.sector_spectra):
+        for s, spectrum in zip(spec.sectors, spec.sector_spectra):
             stop = start + s.size
             np.testing.assert_array_equal(
-                truth.population_matrix[start:stop, start:stop],
+                spec.population_matrix[start:stop, start:stop],
                 s.block_correlation(),
             )
             start = stop
@@ -77,10 +75,9 @@ class TestGenerate:
         kinds = set()
         for trial in range(60):
             spec = helpers.random_market_spec(rng)
-            truth = ground_truth(spec)
-            draws = _correlate(truth, np.eye(spec.n_assets))
+            draws = _correlate(spec, np.eye(spec.n_assets))
             np.testing.assert_allclose(
-                draws.T @ draws, truth.population_matrix, rtol=0.0, atol=1e-12
+                draws.T @ draws, spec.population_matrix, rtol=0.0, atol=1e-12
             )
             kinds.update(
                 "singleton" if s.size == 1
@@ -138,7 +135,7 @@ class TestSpecValidation:
         assert spec.n_periods == 1508
         sizes = tuple(s.size for s in spec.sectors)
         assert sizes == (73, 56, 27, 59, 51, 57, 58, 23, 27, 3, 28)
-        ground_truth(spec)  # validates PSD of every block and the factor corr
+        assert np.linalg.eigvalsh(spec.population_matrix).min() >= -1e-10
 
     def test_spec_file_round_trip(self, tmp_path):
         spec = default_market_spec(n_periods=64, seed=4)
@@ -247,24 +244,25 @@ class TestSpecValidation:
         mapping = sector_map_for(spec)
         assert set(mapping) == set(panel.assets)
         assert mapping[panel.assets[0]] == "Consumer Discretionary"
+        # The CLI's partition, read back from the map, is the spec's own.
+        read_back = SectorPartition.from_mapping(panel.assets, mapping)
+        assert read_back.labels == truth.partition.labels
+        assert np.array_equal(read_back.assignment, truth.partition.assignment)
 
 
 class TestEstimatorConsistency:
     def test_fitted_matrix_converges_to_population(self):
         # Mean max-norm error against the population matrix must fall as the
         # sample grows; 10 seeds at each horizon average out sampling noise.
-        spec_template = default_market_spec()
-        truth = ground_truth(spec_template)
+        population = default_market_spec().population_matrix
         mean_errors = []
         for t in (500, 5000, 50000):
             spec = default_market_spec(n_periods=t)
             errors = []
             for seed in range(10):
                 panel, _ = generate(spec, seed=seed)
-                model = fit_hpca(standardize(panel), truth.partition)
-                errors.append(
-                    np.abs(model.matrix - truth.population_matrix).max()
-                )
+                model = fit_hpca(standardize(panel), spec.partition)
+                errors.append(np.abs(model.matrix - population).max())
             mean_errors.append(float(np.mean(errors)))
         assert mean_errors[0] > mean_errors[1] > mean_errors[2]
 
