@@ -64,7 +64,7 @@ def _load_inputs(panel_path: str, sectors_path: str):
     return standardize(panel), partition
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> None:
     panel, partition = _load_inputs(args.panel, args.sectors)
     model = fit_hpca(panel, partition)
     path = save_model(
@@ -75,10 +75,9 @@ def _cmd_fit(args) -> int:
         f"assets={model.n_assets} sectors={partition.n_sectors} "
         f"periods={panel.n_periods} dropped_rows={panel.dropped_rows}"
     )
-    return EXIT_OK
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> None:
     doc = load_model_dict(args.model)
     try:
         rows = [(entry["eigenvalue"], entry["label"]) for entry in doc["spectrum"]]
@@ -87,10 +86,9 @@ def _cmd_spectrum(args) -> int:
     print("rank\teigenvalue\tlabel")
     for rank, (value, label) in enumerate(rows[: args.top], start=1):
         print(f"{rank}\t{value!r}\t{label}")
-    return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     panel, partition = _load_inputs(args.panel, args.sectors)
     pca = sym_eig_sorted(correlation(panel).values)
     model = fit_hpca(panel, partition)
@@ -99,10 +97,9 @@ def _cmd_compare(args) -> int:
         _dump_json(report_to_dict(report), sys.stdout)
     else:
         sys.stdout.write(render_text(report))
-    return EXIT_OK
 
 
-def _cmd_residuals(args) -> int:
+def _cmd_residuals(args) -> None:
     panel, partition = _load_inputs(args.panel, args.sectors)
     n, t = panel.n_assets, panel.n_periods
     ref = mp_density(n, t)
@@ -115,8 +112,6 @@ def _cmd_residuals(args) -> int:
     cutoff = (
         int((eigenvalues > ref.lambda_plus).sum()) if args.m is None else args.m
     )
-    if cutoff > n:
-        raise InputError(f"cutoff m={cutoff} exceeds asset count {n}")
     factors = eigenportfolio_series(
         panel.values, eigenvalues, spectrum.vectors(cutoff), cutoff
     )
@@ -135,45 +130,35 @@ def _cmd_residuals(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        # ``csv`` writes each float as its shortest ``repr``.
+        edges = rep.hist_edges.tolist()
         _write_rows(
             out / "eigenvalues.csv",
             ["rank", "eigenvalue"],
-            ((r + 1, repr(float(v))) for r, v in enumerate(rep.eigenvalues)),
+            enumerate(rep.eigenvalues.tolist(), start=1),
         )
         _write_rows(
             out / "histogram.csv",
             ["bin_left", "bin_right", "count"],
-            (
-                (repr(float(a)), repr(float(b)), int(c))
-                for a, b, c in zip(rep.hist_edges[:-1], rep.hist_edges[1:], rep.hist_counts)
-            ),
+            zip(edges[:-1], edges[1:], rep.hist_counts.tolist()),
         )
         _write_rows(
             out / "mp_density.csv",
             ["eigenvalue", "density"],
-            (
-                (repr(float(x)), repr(float(d)))
-                for x, d in zip(ref.grid, ref.density)
-            ),
+            zip(ref.grid.tolist(), ref.density.tolist()),
         )
         print(f"wrote tables to {out}")
-    return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     spec = load_market_spec(args.spec)
     panel, _ = generate(spec, seed=args.seed)
     write_panel(panel, args.out)
     print(f"wrote {args.out} ({panel.n_periods} x {panel.n_assets})")
     if args.sectors_out is not None:
-        mapping = sector_map_for(spec)
-        _write_rows(
-            Path(args.sectors_out),
-            ["asset", "sector"],
-            ((asset, mapping[asset]) for asset in panel.assets),
-        )
+        # The map is built in the panel's asset order.
+        _write_rows(args.sectors_out, ["asset", "sector"], sector_map_for(spec).items())
         print(f"wrote {args.sectors_out}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,10 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--panel", required=True, help="return panel file (CSV/TSV)")
+    inputs.add_argument("--sectors", required=True, help="asset,sector map file")
 
-    fit = sub.add_parser("fit", help="fit the hierarchical model and export it")
-    fit.add_argument("--panel", required=True, help="return panel file (CSV/TSV)")
-    fit.add_argument("--sectors", required=True, help="asset,sector map file")
+    fit = sub.add_parser(
+        "fit", parents=[inputs], help="fit the hierarchical model and export it"
+    )
     fit.add_argument("--out", required=True, help="output directory")
     fit.add_argument("--dense", action="store_true", help="include the dense matrix")
     fit.add_argument(
@@ -200,16 +188,16 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--top", type=_count, default=None, metavar="K")
     spectrum.set_defaults(func=_cmd_spectrum)
 
-    compare = sub.add_parser("compare", help="plain vs hierarchical spectra")
-    compare.add_argument("--panel", required=True)
-    compare.add_argument("--sectors", required=True)
+    compare = sub.add_parser(
+        "compare", parents=[inputs], help="plain vs hierarchical spectra"
+    )
     compare.add_argument("--top", type=_count, default=25, metavar="K")
     compare.add_argument("--json", action="store_true", help="emit JSON instead of text")
     compare.set_defaults(func=_cmd_compare)
 
-    residuals = sub.add_parser("residuals", help="residual spectrum vs noise bounds")
-    residuals.add_argument("--panel", required=True)
-    residuals.add_argument("--sectors", required=True)
+    residuals = sub.add_parser(
+        "residuals", parents=[inputs], help="residual spectrum vs noise bounds"
+    )
     residuals.add_argument("--method", choices=("pca", "hpca"), required=True)
     residuals.add_argument(
         "--m", type=_count, default=None,
@@ -230,22 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        args.func(args)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -103,11 +103,9 @@ def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
     flip = sums < -ZERO_SUM_TOL
     zero = np.flatnonzero(np.abs(sums) <= ZERO_SUM_TOL)
     if zero.size:
+        # A unit n-vector has an entry of size >= n^(-1/2) > ZERO_SUM_TOL.
         cols = vectors[:, zero]
-        large = np.abs(cols) > ZERO_SUM_TOL
-        first = np.where(
-            large.any(axis=0), large.argmax(axis=0), (cols != 0.0).argmax(axis=0)
-        )
+        first = (np.abs(cols) > ZERO_SUM_TOL).argmax(axis=0)
         flip[zero] = cols[first, np.arange(zero.size)] < 0.0
     vectors *= np.where(flip, -1.0, 1.0)
 

@@ -337,5 +337,5 @@ def write_eigenvector_table(spectrum: LabeledSpectrum, dest: str | Path, count: 
     """
     vectors = spectrum.vectors(count)
     header = ["asset"] + [f"EV{r + 1}" for r in range(vectors.shape[1])]
-    rows = ([a] + [repr(v) for v in vec] for a, vec in zip(spectrum.assets, vectors.tolist()))
+    rows = ([a, *row] for a, row in zip(spectrum.assets, vectors.tolist()))
     _write_rows(dest, header, rows)

@@ -327,8 +327,8 @@ def standardize(panel: ReturnsPanel) -> StandardizedPanel:
     values = panel.values
     centered = values - values.mean(axis=0)
     # The same bits as ``values.std(axis=0, ddof=1)``, which would center
-    # the panel a second time.
-    stds = np.sqrt(np.square(centered).sum(axis=0) / (panel.n_periods - 1))
+    # the panel a second time; einsum needs no T x n temporary.
+    stds = np.sqrt(np.einsum("ij,ij->j", centered, centered) / (panel.n_periods - 1))
     scale = np.maximum(1.0, np.maximum(values.max(axis=0), -values.min(axis=0)))
     degenerate = np.flatnonzero(stds <= 1e-12 * scale)
     if degenerate.size:

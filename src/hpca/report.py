@@ -137,22 +137,17 @@ def build_comparison(
     )
 
 
-def _fields_dict(record) -> dict:
-    """A record's fields in declaration order; arrays and tuples become lists."""
+def report_to_dict(report: ComparisonReport) -> dict:
+    """JSON-ready fields in declaration order; arrays and tuples become lists, rows dicts."""
     out = {}
-    for field in fields(record):
-        value = getattr(record, field.name)
+    for field in fields(report):
+        value = getattr(report, field.name)
         if isinstance(value, np.ndarray):
             value = value.tolist()
         elif isinstance(value, tuple):
-            value = [_fields_dict(v) if is_dataclass(v) else v for v in value]
+            value = [report_to_dict(v) if is_dataclass(v) else v for v in value]
         out[field.name] = value
     return out
-
-
-def report_to_dict(report: ComparisonReport) -> dict:
-    """Serialize a comparison report to JSON-compatible types, in field order."""
-    return _fields_dict(report)
 
 
 def render_text(report: ComparisonReport) -> str:

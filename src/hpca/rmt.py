@@ -64,7 +64,6 @@ def mp_density(n: int, t: int, grid_size: int = DEFAULT_GRID_SIZE) -> MpReferenc
     inner = np.clip((hi - grid) * (grid - lo), 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         density = np.sqrt(inner) / (2.0 * np.pi * gamma * grid)
-    density = np.where(grid > 0.0, density, 0.0)
     density[0] = 0.0
     density[-1] = 0.0
     return MpReference(lambda_minus=lo, lambda_plus=hi, grid=grid, density=density)

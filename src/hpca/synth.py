@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigen import Spectrum, sym_eig_sorted
+from .eigen import Spectrum, _asymmetry, sym_eig_sorted
 from .errors import InputError
 from .model import assemble_hpca_matrix
 from .panel import ReturnsPanel, _dump_json, _load_json
@@ -48,7 +48,7 @@ def _check_correlation(matrix: np.ndarray, what: str) -> np.ndarray:
         raise InputError(f"{what} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InputError(f"{what} contains non-finite entries")
-    if np.abs(m - m.T).max() > 1e-10:
+    if _asymmetry(m) > 1e-10:
         raise InputError(f"{what} is not symmetric")
     if np.abs(np.diag(m) - 1.0).max() > 1e-10:
         raise InputError(f"{what} diagonal is not 1")

@@ -271,6 +271,45 @@ class TestErrorPaths:
         assert proc.stdout.startswith("hpca ")
 
 
+class TestExitCodes:
+    """The README's exit codes: 2 for a numerical failure, 1 for a usage error."""
+
+    @pytest.fixture()
+    def repeated_column(self, tmp_path):
+        values = np.random.default_rng(23).standard_normal((50, 4))
+        values[:, 3] = values[:, 2]
+        panel, sectors = tmp_path / "panel.csv", tmp_path / "sectors.csv"
+        rows = [f"d{t}," + ",".join(map(repr, row)) for t, row in enumerate(values.tolist())]
+        panel.write_text("\n".join(["date,A,B,C,D", *rows]) + "\n")
+        sectors.write_text("asset,sector\nA,x\nB,x\nC,y\nD,y\n")
+        return panel, sectors
+
+    @pytest.mark.parametrize("method", ["pca", "hpca"])
+    def test_singular_panel_is_numerical_failure(self, repeated_column, capsys, method):
+        panel, sectors = repeated_column
+        rc = main([
+            "residuals", "--panel", str(panel), "--sectors", str(sectors),
+            "--method", method, "--m", "4",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: cannot realize eigenportfolios"
+        )
+
+    @pytest.mark.parametrize("missing", ["--panel", "--sectors"])
+    @pytest.mark.parametrize(
+        "command, rest",
+        [("fit", ["--out", "model"]), ("compare", []), ("residuals", ["--method", "pca"])],
+    )
+    def test_inputs_are_required(self, capsys, command, rest, missing):
+        inputs = {"--panel": "panel.csv", "--sectors": "sectors.csv"}
+        del inputs[missing]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *[a for pair in inputs.items() for a in pair], *rest])
+        assert exit_info.value.code == 1
+        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+
 class TestDeterminismContract:
     """Same machine and same BLAS thread count give the same bytes, run to run."""
 

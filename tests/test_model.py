@@ -3,13 +3,14 @@
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import helpers
 from hpca.eigen import Spectrum, sym_eig_sorted
-from hpca.errors import InputError
+from hpca.errors import InputError, NumericalError
 from hpca.model import (
     MULTI_SECTOR,
     SECTOR,
@@ -510,6 +511,88 @@ class TestEigenportfolioSeries:
         )
         assert factors.shape == (panel.n_periods, count)
         np.testing.assert_allclose(factors.var(axis=0, ddof=1), 1.0, atol=1e-8)
+
+
+class TestInputErrors:
+    """Every input check in the model layer raises with its message."""
+
+    @pytest.mark.parametrize(
+        "factors, error, message",
+        [
+            (np.zeros(3), InputError, "factor matrix must be T x b with T >= 2, got (3,)"),
+            (np.zeros((1, 2)), InputError, "factor matrix must be T x b with T >= 2, got (1, 2)"),
+            ([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]], NumericalError, "zero-variance factor series"),
+        ],
+        ids=["one-dimensional", "one-period", "constant-factor"],
+    )
+    def test_inter_sector_corr(self, factors, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            inter_sector_corr(factors)
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda p: p[1].pop(), "need one correlation block and one beta vector per sector"),
+            (lambda p: p[2].pop(), "need one correlation block and one beta vector per sector"),
+            (lambda p: p.__setitem__(3, np.eye(3)), "factor correlation must be 2 x 2, got (3, 3)"),
+            (lambda p: p[2].__setitem__(1, np.ones(3)), "beta vector for sector 1 has the wrong length"),
+            (lambda p: p[1].__setitem__(0, np.eye(3)), "correlation block for sector 0 has the wrong shape"),
+        ],
+        ids=["blocks", "betas", "factor-corr", "beta-length", "block-shape"],
+    )
+    def test_assemble_hpca_matrix(self, spoil, message):
+        parts = list(four_asset_parts())
+        spoil(parts)
+        with pytest.raises(InputError, match=re.escape(message)):
+            assemble_hpca_matrix(*parts)
+
+    @pytest.mark.parametrize(
+        "leading, error, message",
+        [
+            ([1.0, 1.0, 1.0], InputError, "need one leading eigenvalue per sector"),
+            ([[1.0, 1.0]], InputError, "need one leading eigenvalue per sector"),
+            ([1.0, 0.0], NumericalError, "non-positive leading sector eigenvalue"),
+        ],
+        ids=["count", "shape", "zero"],
+    )
+    def test_build_factor_cov(self, leading, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build_factor_cov(leading, np.eye(2))
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda p: p[1].pop(), "need one spectrum per sector"),
+            (
+                lambda p: p.__setitem__(2, build_factor_cov([1.0], np.eye(1))),
+                "factor covariance size does not match sector count",
+            ),
+        ],
+        ids=["spectra", "mixing"],
+    )
+    def test_assemble_spectrum(self, spoil, message):
+        partition, spectra, mixing = tied_parts()
+        parts = [partition, list(spectra), mixing]
+        spoil(parts)
+        with pytest.raises(InputError, match=re.escape(message)):
+            assemble_spectrum(*parts, ("a", "b", "c"))
+
+    @pytest.mark.parametrize(
+        "eigenvalues, count, error, message",
+        [
+            ([2.0, 1.0, 0.5], 4, InputError, "factor count 4 out of range [0, 3]"),
+            ([2.0, 1.0, 0.5], -1, InputError, "factor count -1 out of range [0, 3]"),
+            (
+                [2.0, 1.0, 0.0], 3, NumericalError,
+                "cannot realize eigenportfolios for non-positive eigenvalues",
+            ),
+        ],
+        ids=["above-n", "negative", "zero-eigenvalue"],
+    )
+    def test_eigenportfolio_series(self, eigenvalues, count, error, message):
+        values = np.random.default_rng(22).standard_normal((10, 3))
+        with pytest.raises(error, match=re.escape(message)):
+            eigenportfolio_series(values, np.array(eigenvalues), np.eye(3), count)
 
 
 class TestExport:
