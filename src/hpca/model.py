@@ -235,7 +235,7 @@ def fit_hpca(panel: StandardizedPanel, partition: SectorPartition) -> HpcaModel:
     """Fit the full hierarchical model on a standardized panel."""
     models = fit_all_sectors(panel, partition)
     rho = inter_sector_corr(np.column_stack([m.factor for m in models]))
-    factor_cov = build_factor_cov([m.leading_eigenvalue for m in models], rho)
+    factor_cov = build_factor_cov([m.eigenvalues[0] for m in models], rho)
     return HpcaModel(
         partition=partition,
         sector_models=models,
@@ -290,13 +290,13 @@ def model_to_dict(model: HpcaModel, include_matrix: bool = False) -> dict:
         ],
         "sector_models": [
             {
-                "label": m.label,
-                "assets": list(m.assets),
+                "label": label,
+                "assets": [model.spectrum.assets[i] for i in m.members],
                 "eigenvalues": m.eigenvalues.tolist(),
                 "eigenvectors": m.eigenvectors.tolist(),
                 "betas": m.betas.tolist(),
             }
-            for m in model.sector_models
+            for label, m in zip(model.partition.labels, model.sector_models)
         ],
     }
     if include_matrix:

@@ -134,25 +134,18 @@ def _leading_betas(spectrum: Spectrum) -> np.ndarray:
 class SectorModel(Spectrum):
     """One-factor PCA model of a single sector: the sector's own spectrum.
 
-    ``factor`` is the leading eigenportfolio return series (unit sample
-    variance, divisor T-1) and ``betas`` are the member regressions on it:
-    ``beta = sqrt(lambda_1) * v_1`` entrywise.
+    ``members`` are the sector's panel columns. ``factor`` is the leading
+    eigenportfolio return series (unit sample variance, divisor T-1) and
+    ``betas`` are the member regressions on it: ``sqrt(lambda_1) * v_1``.
     """
 
-    index: int
-    label: str
     members: np.ndarray
-    assets: tuple[str, ...]
     correlation: np.ndarray
     factor: np.ndarray
 
     @property
     def betas(self) -> np.ndarray:
         return _leading_betas(self)
-
-    @property
-    def leading_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
 
 
 def fit_sector(
@@ -179,10 +172,7 @@ def fit_sector(
     spectrum = sym_eig_sorted(c)
     factor = x @ spectrum.eigenvectors[:, 0] / np.sqrt(spectrum.eigenvalues[0])
     return SectorModel(
-        index=k,
-        label=partition.labels[k],
         members=members,
-        assets=tuple(panel.assets[i] for i in members),
         correlation=c,
         eigenvalues=spectrum.eigenvalues,
         eigenvectors=spectrum.eigenvectors,

@@ -11,6 +11,7 @@ population matrix is assembled on access, as the tests' exact oracle.
 from __future__ import annotations
 
 import datetime
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,10 +72,10 @@ def _whole(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class SectorSpec:
-    """One sector's size and intra-block correlation structure.
+    """One sector's size and intra-block correlation structure, checked when built.
 
-    Either ``equicorrelation`` (a single off-diagonal level) or a full
-    ``correlation`` matrix must be given; a singleton sector may omit both.
+    A full ``correlation`` matrix takes precedence over ``equicorrelation``,
+    the one off-diagonal level, which defaults to 0 (an identity block).
     """
 
     name: str
@@ -84,26 +85,30 @@ class SectorSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "size", _whole(self.size, f"sector {self.name!r} size"))
-
-    def block_correlation(self) -> np.ndarray:
         if self.size < 1:
             raise InputError(f"sector {self.name!r} has size {self.size}")
-        if self.correlation is not None:
-            m = _check_correlation(
-                self.correlation, f"sector {self.name!r} correlation"
+        rho = self.equicorrelation
+        if rho is not None and (
+            isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not math.isfinite(rho)
+        ):
+            raise InputError(
+                f"sector {self.name!r} equicorrelation must be a finite real number, got {rho!r}"
             )
+        if self.correlation is not None:
+            m = _check_correlation(self.correlation, f"sector {self.name!r} correlation")
             if m.shape != (self.size, self.size):
                 raise InputError(
                     f"sector {self.name!r} correlation shape {m.shape} "
                     f"does not match size {self.size}"
                 )
-            return m
-        rho = 0.0 if self.equicorrelation is None else float(self.equicorrelation)
-        if self.size > 1 and not -1.0 / (self.size - 1) <= rho <= 1.0:
-            raise InputError(
-                f"equicorrelation {rho} invalid for sector of size {self.size}"
-            )
-        block = np.full((self.size, self.size), rho)
+            object.__setattr__(self, "correlation", m)
+        elif rho is not None and self.size > 1 and not -1.0 / (self.size - 1) <= rho <= 1.0:
+            raise InputError(f"equicorrelation {rho} invalid for sector of size {self.size}")
+
+    def block_correlation(self) -> np.ndarray:
+        if self.correlation is not None:
+            return self.correlation
+        block = np.full((self.size, self.size), self.equicorrelation or 0.0, dtype=float)
         np.fill_diagonal(block, 1.0)
         return block
 
@@ -130,16 +135,13 @@ class MarketSpec:
         if len(set(names)) != len(names):
             raise InputError("sector names must be unique")
         fc = _check_correlation(self.factor_correlation, "factor correlation")
-        if fc.shape != (len(self.sectors), len(self.sectors)):
+        if fc.shape != (self.n_sectors, self.n_sectors):
             raise InputError(
-                f"factor correlation shape {fc.shape} does not match "
-                f"{len(self.sectors)} sectors"
+                f"factor correlation shape {fc.shape} does not match {self.n_sectors} sectors"
             )
         object.__setattr__(self, "factor_correlation", fc)
         if self.n_periods < 2:
             raise InputError("n_periods must be at least 2")
-        for s in self.sectors:
-            s.block_correlation()
 
     @property
     def n_assets(self) -> int:
@@ -269,7 +271,7 @@ def market_spec_to_dict(spec: MarketSpec) -> dict:
     for s in spec.sectors:
         entry: dict = {"name": s.name, "size": s.size}
         if s.correlation is not None:
-            entry["correlation"] = np.asarray(s.correlation).tolist()
+            entry["correlation"] = s.correlation.tolist()
         elif s.equicorrelation is not None:
             entry["equicorrelation"] = s.equicorrelation
         doc["sectors"].append(entry)
@@ -284,20 +286,18 @@ def market_spec_from_dict(doc: dict) -> MarketSpec:
                 size=entry["size"],
                 equicorrelation=entry.get("equicorrelation"),
                 correlation=(
-                    np.asarray(entry["correlation"], dtype=float)
-                    if "correlation" in entry
-                    else None
+                    np.asarray(entry["correlation"], dtype=float) if "correlation" in entry else None
                 ),
             )
             for entry in doc["sectors"]
         )
         return MarketSpec(
             sectors=sectors,
-            factor_correlation=np.asarray(doc["factor_correlation"], dtype=float),
+            factor_correlation=doc["factor_correlation"],
             n_periods=doc["n_periods"],
             seed=doc.get("seed", 0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed market spec: {exc}") from exc
 
 

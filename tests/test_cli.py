@@ -296,6 +296,16 @@ class TestExitCodes:
             "numerical failure: cannot realize eigenportfolios"
         )
 
+    @pytest.mark.parametrize("method, m, columns", [("hpca", "2", "C,D"), ("pca", "3", "A,B,C,D")])
+    def test_degenerate_columns_are_listed(self, repeated_column, capsys, method, m, columns):
+        panel, sectors = repeated_column
+        rc = main([
+            "residuals", "--panel", str(panel), "--sectors", str(sectors),
+            "--method", method, "--m", m,
+        ])
+        assert rc == 0
+        assert f"degenerate_columns={columns}" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("missing", ["--panel", "--sectors"])
     @pytest.mark.parametrize(
         "command, rest",
@@ -401,6 +411,23 @@ class TestInputFailuresReportCleanly:
             "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
         )
         assert f"{matrix} contains non-finite entries" in stderr
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "sector 'alpha' equicorrelation must be a finite real number, got True"),
+            (10**400, "int too large to convert to float"),
+        ],
+        ids=["bool", "huge-int"],
+    )
+    def test_simulate_with_bad_equicorrelation(self, tmp_path, small_spec_file, value, message):
+        doc = json.loads(small_spec_file.read_text())
+        doc["sectors"][0]["equicorrelation"] = value
+        small_spec_file.write_text(json.dumps(doc))
+        stderr = self.assert_input_error(
+            "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
+        )
+        assert f"malformed market spec: {message}" in stderr
 
     def test_simulate_with_negative_seed(self, tmp_path, small_spec_file):
         self.assert_input_error(

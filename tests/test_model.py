@@ -361,8 +361,8 @@ class TestAnalyticOracle:
             panel, model = helpers.fit_from_spec(spec)
             n, b = model.n_assets, model.partition.n_sectors
             leading = np.zeros((n, b))
-            for sector in model.sector_models:
-                leading[sector.members, sector.index] = sector.eigenvectors[:, 0]
+            for k, sector in enumerate(model.sector_models):
+                leading[sector.members, k] = sector.eigenvectors[:, 0]
             image = model.matrix @ leading
             residual = image - leading @ (leading.T @ image)
             assert np.linalg.norm(residual, axis=0).max() <= 1e-10
@@ -496,6 +496,18 @@ class TestCumulativeVariance:
             build_comparison(*helpers.comparison_pair(low, high), top_k=0)
         with pytest.raises(InputError, match="hierarchical eigenvalues must be sorted"):
             build_comparison(*helpers.comparison_pair(high, low), top_k=0)
+
+    @pytest.mark.parametrize(
+        "plain, hier, message",
+        [
+            ([1.5, 0.5, 0.5], [1.5, 1.0, 0.5], "plain eigenvalues sum to 2.5, expected 3"),
+            ([1.5, 1.0, 0.5], [2.0, 1.0, 1.0], "hierarchical eigenvalues sum to 4.0, expected 3"),
+        ],
+        ids=["plain", "hierarchical"],
+    )
+    def test_eigenvalues_must_sum_to_n(self, plain, hier, message):
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            build_comparison(*helpers.comparison_pair(plain, hier), top_k=0)
 
 
 class TestEigenportfolioSeries:

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,19 @@ class TestLoadPanel:
     def test_non_numeric_cell_names_row_and_column(self):
         text = "date,A,B\nd1,1,2\nd2,3,oops\n"
         with pytest.raises(InputError, match=r"'oops' at row 3, column 'B'"):
+            load_panel(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty input: no header row"),
+            ("date\nd1\nd2\n", "header must contain a date column and at least one asset"),
+            ("date,A, \nd1,1,2\nd2,3,4\n", "blank asset name in header"),
+        ],
+        ids=["empty", "date-only-header", "blank-asset"],
+    )
+    def test_header_errors(self, text, message):
+        with pytest.raises(InputError, match=re.escape(message)):
             load_panel(io.StringIO(text))
 
     def test_ragged_row_rejected(self):
@@ -410,6 +424,20 @@ class TestCorrelation:
         with pytest.raises(InputError, match="correlation matrix contains non-finite entries"):
             CorrelationMatrix(np.array(values))
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.zeros((2, 3)), "correlation matrix must be square, got (2, 3)"),
+            ([[1.0, 0.5], [0.5, 0.9]], "correlation matrix diagonal is not 1"),
+            ([[1.0, 1.5], [1.5, 1.0]], "outside [-1, 1]: max |entry| = 1.5"),
+            ([[1.0, -1.25], [-1.25, 1.0]], "outside [-1, 1]: max |entry| = 1.25"),
+        ],
+        ids=["not-square", "diagonal", "above-one", "below-minus-one"],
+    )
+    def test_matrix_rejects_malformed_values(self, values, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            CorrelationMatrix(np.array(values))
+
 
 class TestReturnsPanelValidation:
     def test_rejects_single_row(self):
@@ -419,6 +447,26 @@ class TestReturnsPanelValidation:
     def test_rejects_nan(self):
         with pytest.raises(InputError):
             make_panel([[1.0, np.nan], [2.0, 3.0]])
+
+    @pytest.mark.parametrize(
+        "dates, assets, values, message",
+        [
+            (("d1", "d2"), ("A",), np.zeros(2), "panel values must be 2-d, got 1-d"),
+            (
+                ("d1",), ("A", "B"), np.zeros((2, 2)),
+                "label/value shape mismatch: 1 dates, 2 assets, values (2, 2)",
+            ),
+            (
+                ("d1", "d2"), ("A",), np.zeros((2, 2)),
+                "label/value shape mismatch: 2 dates, 1 assets, values (2, 2)",
+            ),
+            (("d1", "d2"), (), np.zeros((2, 0)), "panel needs at least 1 asset column"),
+        ],
+        ids=["one-dimensional", "dates-mismatch", "assets-mismatch", "no-assets"],
+    )
+    def test_rejects_malformed_panel(self, dates, assets, values, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            ReturnsPanel(dates=dates, assets=assets, values=values)
 
     def test_write_panel_matches_csv_writer(self):
         # Dates that need quoting or look like a missing cell, each in a row

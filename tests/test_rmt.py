@@ -7,10 +7,17 @@ import pytest
 
 import helpers
 from hpca.eigen import sym_eig_sorted
-from hpca.errors import InputError
+from hpca.errors import InputError, NumericalError
 from hpca.model import eigenportfolio_series
 from hpca.panel import ReturnsPanel, correlation, standardize
-from hpca.rmt import ResidualPanel, defactor, mp_density, mp_threshold, residual_spectrum
+from hpca.rmt import (
+    MpReference,
+    ResidualPanel,
+    defactor,
+    mp_density,
+    mp_threshold,
+    residual_spectrum,
+)
 from hpca.sectors import SectorPartition, fit_sector
 from hpca.synth import default_market_spec, generate
 
@@ -229,6 +236,11 @@ class TestDefactor:
         with pytest.raises(InputError):
             defactor(panel, np.ones((19, 1)))
 
+    def test_rejects_unstandardized_panel(self):
+        raw = ReturnsPanel(dates=("d1", "d2", "d3"), assets=("A",), values=[[1.0], [2.0], [4.0]])
+        with pytest.raises(InputError, match="defactor expects a standardized panel"):
+            defactor(raw, np.ones((3, 1)))
+
 
 class TestResidualSpectrum:
     def test_noise_panel_calibration(self):
@@ -271,6 +283,12 @@ class TestResidualSpectrum:
                 model_type="custom",
                 cutoff=0,
             )
+
+    def test_rejects_zero_width_reference_grid(self):
+        panel = noise_panel(np.random.default_rng(13), 40, 4)
+        flat = MpReference(lambda_minus=1.0, lambda_plus=1.0, grid=np.ones(2), density=np.zeros(2))
+        with pytest.raises(NumericalError, match="degenerate reference grid"):
+            residual_spectrum(defactor(panel, np.empty((40, 0))), flat)
 
     @pytest.mark.parametrize("t, n", [(40, 1), (40, 2), (200, 20)])
     def test_mean_offdiag_is_the_masked_mean(self, t, n):

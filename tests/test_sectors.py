@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,21 @@ class TestPartition:
         with pytest.raises(InputError):
             SectorPartition(labels=("a", "b"), assignment=np.zeros(3, dtype=int))
 
+    @pytest.mark.parametrize(
+        "labels, assignment, message",
+        [
+            (("a",), np.zeros((2, 2)), "sector assignment must be 1-d"),
+            (("a", "a"), [0, 1], "sector labels must be unique and non-empty"),
+            ((), [], "sector labels must be unique and non-empty"),
+            (("a", "b"), [0, 2], "sector assignment index out of range"),
+            (("a", "b"), [-1, 1], "sector assignment index out of range"),
+        ],
+        ids=["two-dimensional", "repeated-label", "no-labels", "index-above", "index-below"],
+    )
+    def test_rejects_malformed_partition(self, labels, assignment, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            SectorPartition(labels=labels, assignment=assignment)
+
 
 class TestSectorMap:
     def test_load(self):
@@ -208,3 +224,18 @@ class TestSectorMap:
     def test_header_required(self):
         with pytest.raises(InputError):
             load_sector_map(io.StringIO(""))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("asset\nX\n", "sector map needs a header row with asset,sector columns"),
+            ("asset,sector\nX,tech\nY\n", "sector map row 3 has no sector column"),
+            ("asset,sector\nX, \n", "sector map row 2 has a blank field"),
+            ("asset,sector\n ,tech\n", "sector map row 2 has a blank field"),
+            ("asset,sector\n\n", "sector map contains no entries"),
+        ],
+        ids=["one-column-header", "no-sector-column", "blank-sector", "blank-asset", "no-entries"],
+    )
+    def test_rejects_malformed_map(self, text, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            load_sector_map(io.StringIO(text))

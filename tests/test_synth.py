@@ -1,5 +1,8 @@
 """Synthetic market generator and its ground-truth guarantees."""
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from hpca.sectors import SectorPartition
 from hpca.synth import (
     MarketSpec,
     SectorSpec,
+    _check_correlation,
     _correlate,
     default_market_spec,
     generate,
@@ -20,6 +24,8 @@ from hpca.synth import (
     save_market_spec,
     sector_map_for,
 )
+
+NOT_REAL = "sector 'a' equicorrelation must be a finite real number, got "
 
 
 def singleton_pair_spec(rho, t, seed=0):
@@ -237,6 +243,81 @@ class TestSpecValidation:
     def test_malformed_spec_rejected(self):
         with pytest.raises(InputError):
             market_spec_from_dict({"sectors": [{"name": "x"}]})
+
+    def test_null_sector_correlation_rejected(self):
+        # A JSON null is not an omitted block: it is read as a 0-d NaN array.
+        doc = {
+            "n_periods": 10,
+            "factor_correlation": [[1.0]],
+            "sectors": [{"name": "a", "size": 2, "correlation": None}],
+        }
+        with pytest.raises(InputError, match=re.escape("'a' correlation must be square, got shape ()")):
+            market_spec_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.zeros((2, 3)), "m must be square, got shape (2, 3)"),
+            ([[1.0, 0.3], [0.2, 1.0]], "m is not symmetric"),
+            ([[1.0, 0.3], [0.3, 0.5]], "m diagonal is not 1"),
+        ],
+        ids=["not-square", "asymmetric", "diagonal"],
+    )
+    def test_check_correlation(self, matrix, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            _check_correlation(matrix, "m")
+
+    @pytest.mark.parametrize(
+        "size, fields, message",
+        [
+            (0, {}, "sector 'a' has size 0"),
+            (-2, {}, "sector 'a' has size -2"),
+            (3, {"correlation": np.eye(2)}, "'a' correlation shape (2, 2) does not match size 3"),
+            (3, {"equicorrelation": True}, NOT_REAL + "True"),
+            (3, {"equicorrelation": "0.3"}, NOT_REAL + "'0.3'"),
+            (3, {"equicorrelation": np.nan}, NOT_REAL + "nan"),
+            (1, {"equicorrelation": np.nan}, NOT_REAL + "nan"),
+            (1, {"equicorrelation": -np.inf}, NOT_REAL + "-inf"),
+            (2, {"equicorrelation": "x", "correlation": np.eye(2)}, NOT_REAL + "'x'"),
+        ],
+        ids=[
+            "size-zero", "size-negative", "correlation-shape", "equi-bool", "equi-str",
+            "equi-nan", "singleton-nan", "singleton-inf", "equi-beside-correlation",
+        ],
+    )
+    def test_sector_spec_checked_when_built(self, size, fields, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            SectorSpec(name="a", size=size, **fields)
+
+    @pytest.mark.parametrize("rho", [0, np.int64(0), np.float32(0.25), Fraction(1, 4)])
+    def test_sector_spec_accepts_any_real_equicorrelation(self, rho):
+        block = SectorSpec(name="a", size=3, equicorrelation=rho).block_correlation()
+        expected = np.full((3, 3), float(rho))
+        np.fill_diagonal(expected, 1.0)
+        assert block.dtype == float
+        np.testing.assert_array_equal(block, expected)
+
+    def test_sector_spec_keeps_the_checked_block(self):
+        spec = SectorSpec(name="a", size=2, correlation=[[1, 0.5], [0.5, 1]])
+        assert isinstance(spec.correlation, np.ndarray) and spec.correlation.dtype == float
+        assert spec.block_correlation() is spec.correlation
+
+    @pytest.mark.parametrize(
+        "sectors, factor_correlation, n_periods, message",
+        [
+            ((), np.eye(1), 10, "market spec needs at least one sector"),
+            ((SectorSpec("a", 1), SectorSpec("a", 2)), np.eye(2), 10, "names must be unique"),
+            (
+                (SectorSpec("a", 1), SectorSpec("b", 2)), np.eye(1), 10,
+                "factor correlation shape (1, 1) does not match 2 sectors",
+            ),
+            ((SectorSpec("a", 1),), np.eye(1), 1, "n_periods must be at least 2"),
+        ],
+        ids=["no-sectors", "duplicate-names", "factor-shape", "one-period"],
+    )
+    def test_market_spec_rejects(self, sectors, factor_correlation, n_periods, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            MarketSpec(sectors, factor_correlation, n_periods)
 
     def test_sector_map_matches_assets(self):
         spec = default_market_spec(n_periods=16)
