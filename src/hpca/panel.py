@@ -8,9 +8,12 @@ price-to-return or log/arithmetic conversion is the caller's job.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from contextlib import contextmanager
+import os
+import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,6 +28,9 @@ from .errors import InputError
 MISSING_TOKENS = frozenset({"", "na", "nan", "null", "n/a"})
 
 STANDARDIZE_TOL = 1e-12
+
+# Tag on the first line of a panel cache entry; an entry without it is a miss.
+CACHE_FORMAT = "hpca-panel-1"
 
 
 @dataclass
@@ -124,7 +130,11 @@ def _text_stream(source: str | Path | TextIO, mode: str = "r") -> Iterator[TextI
         else:
             yield source
     except UnicodeDecodeError as exc:
-        raise InputError(f"{source} is not UTF-8 text: {exc.reason}") from None
+        raise _not_utf8(source, exc) from None
+
+
+def _not_utf8(source, exc: UnicodeDecodeError) -> InputError:
+    return InputError(f"{source} is not UTF-8 text: {exc.reason}")
 
 
 def _dump_json(doc, dest: str | Path | TextIO) -> None:
@@ -178,23 +188,54 @@ def load_panel(source: str | Path | TextIO) -> ReturnsPanel:
     holds one, else a comma. Quoted fields and CRLF line endings are
     accepted.
 
+    A panel read from a path is kept in a binary cache entry for that path
+    under ``$XDG_CACHE_HOME/hpca/panels`` (default ``~/.cache``), with the
+    SHA-256 of the file's bytes; a later load of the same bytes returns the
+    stored panel instead of parsing again. A stream is always parsed.
+
     Raises:
         InputError: duplicate asset names, fewer than 2 complete rows,
             a non-numeric cell (reported with its row and column), or a
             ragged row.
     """
-    with _text_stream(source) as stream:
-        first = stream.readline()
-        if not first:
-            raise InputError("empty input: no header row")
-        delimiter = "\t" if "\t" in first else ","
-        header = next(csv.reader([first], delimiter=delimiter))
-        if len(header) < 2:
-            raise InputError("header must contain a date column and at least one asset")
-        assets = tuple(name.strip() for name in header[1:])
-        if any(not a for a in assets):
-            raise InputError("blank asset name in header")
-        lines = stream.readlines()
+    if not isinstance(source, (str, Path)):
+        with _text_stream(source) as stream:
+            return _parse_panel(stream)
+    with open(source, "rb") as fh:
+        data = fh.read()
+    # hashlib loads OpenSSL (~4 ms), which only a load from a path needs.
+    import hashlib
+
+    digest = hashlib.sha256(data).hexdigest()
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    key = hashlib.sha256(os.fsencode(os.path.abspath(source))).hexdigest()
+    entry = Path(cache, "hpca", "panels", key)
+    panel = _read_entry(entry, digest)
+    if panel is None:
+        # Decoded chunk by chunk, as from the file, so the bytes are not
+        # held twice and the first fault found is the same.
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        try:
+            panel = _parse_panel(stream)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(source, exc) from None
+        _write_entry(entry, digest, panel)
+    return panel
+
+
+def _parse_panel(stream: TextIO) -> ReturnsPanel:
+    """The panel of a text stream opened with ``newline=""``."""
+    first = stream.readline()
+    if not first:
+        raise InputError("empty input: no header row")
+    delimiter = "\t" if "\t" in first else ","
+    header = next(csv.reader([first], delimiter=delimiter))
+    if len(header) < 2:
+        raise InputError("header must contain a date column and at least one asset")
+    assets = tuple(name.strip() for name in header[1:])
+    if any(not a for a in assets):
+        raise InputError("blank asset name in header")
+    lines = stream.readlines()
 
     dates, values, dropped = _parse_bulk(lines, delimiter, len(assets)) or _parse_rows(
         lines, delimiter, assets
@@ -206,6 +247,60 @@ def load_panel(source: str | Path | TextIO) -> ReturnsPanel:
     return ReturnsPanel(
         dates=dates, assets=assets, values=values, dropped_rows=dropped
     )
+
+
+def _read_entry(entry: Path, digest: str) -> ReturnsPanel | None:
+    """The panel stored in cache file ``entry`` for bytes of SHA-256 ``digest``.
+
+    A missing, unreadable, truncated or foreign entry, or one stored for
+    other bytes, gives None.
+    """
+    try:
+        with open(entry, "rb") as fh:
+            head = json.loads(fh.readline())
+            if head["format"] != CACHE_FORMAT or head["sha256"] != digest:
+                return None
+            values = np.empty(head["shape"], dtype="<f8")
+            if fh.readinto(values) != values.nbytes or fh.read(1):
+                return None
+        return ReturnsPanel(
+            dates=tuple(head["dates"]),
+            assets=tuple(head["assets"]),
+            values=values,
+            dropped_rows=head["dropped_rows"],
+        )
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+
+
+def _write_entry(entry: Path, digest: str, panel: ReturnsPanel) -> None:
+    """Store ``panel`` as cache file ``entry``: a one-line JSON header, then
+    the values as little-endian float64.
+
+    The file is written beside ``entry`` and renamed into place, so a
+    reader never sees it half written. A failure leaves no file behind and
+    is ignored: the cache only ever saves a parse.
+    """
+    head = {
+        "format": CACHE_FORMAT,
+        "sha256": digest,
+        "shape": panel.values.shape,
+        "dates": panel.dates,
+        "assets": panel.assets,
+        "dropped_rows": panel.dropped_rows,
+    }
+    tmp = None
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
+        with open(fd, "wb") as fh:
+            fh.write(json.dumps(head).encode() + b"\n")
+            fh.write(np.ascontiguousarray(panel.values, dtype="<f8").data)
+        os.replace(tmp, entry)
+    except OSError:
+        if tmp is not None:
+            with suppress(OSError):
+                os.remove(tmp)
 
 
 def _has_missing_cell(line: str, delimiter: str) -> bool:

@@ -177,8 +177,17 @@ def residual_spectrum(residuals: ResidualPanel, ref: MpReference) -> ResidualRep
     and extend it outward with the same spacing until every eigenvalue is
     covered. ``leading_share`` is the top eigenvalue divided by n, a proxy
     for the average residual correlation level.
+
+    Raises:
+        NumericalError: every residual column is degenerate, so there is
+            no residual correlation to diagnose.
     """
     n = residuals.n_assets
+    if len(residuals.degenerate) == n:
+        raise NumericalError(
+            f"every residual column is degenerate: the {residuals.cutoff} factor(s) "
+            "explain the whole panel"
+        )
     corr = _gram_correlation(residuals.values, residuals.n_periods - 1)
     ev = np.linalg.eigvalsh(corr)[::-1]
 

@@ -103,7 +103,9 @@ class SectorSpec:
                 )
             object.__setattr__(self, "correlation", m)
         elif rho is not None and self.size > 1 and not -1.0 / (self.size - 1) <= rho <= 1.0:
-            raise InputError(f"equicorrelation {rho} invalid for sector of size {self.size}")
+            raise InputError(
+                f"sector {self.name!r} equicorrelation {rho} invalid for size {self.size}"
+            )
 
     def block_correlation(self) -> np.ndarray:
         if self.correlation is not None:

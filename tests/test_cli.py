@@ -296,7 +296,7 @@ class TestExitCodes:
             "numerical failure: cannot realize eigenportfolios"
         )
 
-    @pytest.mark.parametrize("method, m, columns", [("hpca", "2", "C,D"), ("pca", "3", "A,B,C,D")])
+    @pytest.mark.parametrize("method, m, columns", [("hpca", "2", "C,D")])
     def test_degenerate_columns_are_listed(self, repeated_column, capsys, method, m, columns):
         panel, sectors = repeated_column
         rc = main([
@@ -305,6 +305,20 @@ class TestExitCodes:
         ])
         assert rc == 0
         assert f"degenerate_columns={columns}" in capsys.readouterr().out.splitlines()
+
+    def test_all_degenerate_residuals_are_numerical_failure(self, repeated_column, capsys):
+        panel, sectors = repeated_column
+        rc = main([
+            "residuals", "--panel", str(panel), "--sectors", str(sectors),
+            "--method", "pca", "--m", "3",
+        ])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "numerical failure: every residual column is degenerate: "
+            "the 3 factor(s) explain the whole panel\n"
+        )
 
     @pytest.mark.parametrize("missing", ["--panel", "--sectors"])
     @pytest.mark.parametrize(

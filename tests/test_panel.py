@@ -2,8 +2,12 @@
 
 import csv
 import io
+import json
 import math
+import os
 import re
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -259,6 +263,145 @@ def test_bulk_parse_matches_per_cell_reference(monkeypatch, text, bulk):
         assert got == expected
     if bulk is not None:
         assert (not row_reads) is bulk
+
+
+@pytest.fixture()
+def cache(tmp_path, monkeypatch):
+    """A fresh ``XDG_CACHE_HOME``: its panel entry directory and a count of parses."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    parses = []
+    parse = panel_module._parse_panel
+    monkeypatch.setattr(
+        panel_module, "_parse_panel", lambda stream: parses.append(1) or parse(stream)
+    )
+    return SimpleNamespace(dir=tmp_path / "xdg" / "hpca" / "panels", parses=parses)
+
+
+def assert_same_panel(got, expected):
+    assert got.dates == expected.dates
+    assert got.assets == expected.assets
+    assert got.dropped_rows == expected.dropped_rows
+    assert got.values.shape == expected.values.shape
+    np.testing.assert_array_equal(got.values.view(np.uint64), expected.values.view(np.uint64))
+
+
+def full_precision_table(delimiter=","):
+    values = np.random.default_rng(21).standard_normal((6, 3)) * [1e-300, 1.0, 1e300]
+    values[0, 0] = -0.0
+    rows = [delimiter.join(["d" + str(t), *map(repr, row)]) for t, row in enumerate(values.tolist())]
+    return "\n".join([delimiter.join(["date", "A", "B", "C"]), *rows]) + "\n"
+
+
+class TestPanelCache:
+    """A panel file read again with the same bytes comes from its cache entry."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            full_precision_table(),
+            full_precision_table("\t"),
+            dirty(2, AAA="NA", end="\n") + "2020-01-05,,1,2\n",
+            'date,"A, Inc.",B\r\n"Q1, 2020",1e-05,2\r\nd2,-0.0,5e-324\r\n',
+        ],
+        ids=["full-precision", "tab", "dropped-rows", "quoted-crlf"],
+    )
+    def test_hit_equals_parse_bit_for_bit(self, cache, tmp_path, text):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode())
+        parsed = load_panel(path)
+        (entry,) = cache.dir.iterdir()
+        hit = load_panel(path)
+        assert len(cache.parses) == 1
+        assert_same_panel(hit, parsed)
+        assert_same_panel(hit, load_panel(io.StringIO(text, newline="")))
+        head, payload = entry.read_bytes().split(b"\n", 1)
+        head = json.loads(head)
+        assert head["format"] == panel_module.CACHE_FORMAT
+        assert head["shape"] == list(parsed.values.shape)
+        assert head["dropped_rows"] == parsed.dropped_rows
+        assert len(payload) == parsed.values.size * 8
+
+    def test_same_size_rewrite_with_old_mtime_is_parsed_again(self, cache, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("date,A,B\nd1,0.25,1\nd2,2,3\n")
+        load_panel(path)
+        before = path.stat()
+        path.write_text("date,A,B\nd1,0.75,1\nd2,2,3\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        assert path.stat().st_mtime_ns == before.st_mtime_ns
+        assert load_panel(path).values[0, 0] == 0.75
+        assert len(cache.parses) == 2
+        assert len(list(cache.dir.iterdir())) == 1
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda entry: entry[:-8],
+            lambda entry: entry + bytes(8),
+            lambda entry: entry.replace(b'"hpca-panel-1"', b'"other-format"', 1),
+            lambda entry: b"not json\n" + entry.split(b"\n", 1)[1],
+            lambda entry: b"",
+        ],
+        ids=["truncated", "padded", "foreign-format", "not-json", "empty"],
+    )
+    def test_spoiled_entry_is_a_miss_and_rewritten(self, cache, tmp_path, spoil):
+        path = tmp_path / "panel.csv"
+        path.write_text(full_precision_table())
+        parsed = load_panel(path)
+        (entry,) = cache.dir.iterdir()
+        good = entry.read_bytes()
+        entry.write_bytes(spoil(good))
+        assert_same_panel(load_panel(path), parsed)
+        assert len(cache.parses) == 2
+        assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize("blocked", ["cache-home-is-a-file", "entry-is-a-directory"])
+    def test_unwritable_cache_still_loads(self, cache, tmp_path, monkeypatch, blocked):
+        path = tmp_path / "panel.csv"
+        path.write_text(full_precision_table())
+        if blocked == "cache-home-is-a-file":
+            (tmp_path / "home-file").write_text("x")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "home-file"))
+        else:
+            load_panel(path)
+            (entry,) = cache.dir.iterdir()
+            entry.unlink()
+            entry.mkdir()
+            cache.parses.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first, second = load_panel(path), load_panel(path)
+        assert_same_panel(second, first)
+        assert len(cache.parses) == 2
+        if blocked == "entry-is-a-directory":
+            # The stored copy could not replace the directory and was removed.
+            assert list(cache.dir.iterdir()) == [entry]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"date,A,B\nd1,1,2\nd2,3,oops\n", "non-numeric value 'oops' at row 3, column 'B'"),
+            (b"date,A,B\nd1,1,2\nd2,3\n", "row 3 has 2 cells, expected 3"),
+            (b"date,A,A\nd1,1,2\nd2,3,4\n", "duplicate asset names: A"),
+            (b"date,A\nd1,1\nd2,\xff\n", "{path} is not UTF-8 text: invalid start byte"),
+            # Decoded as it is read, so a header fault is found first.
+            (b"date,A, \n" + b"d1,1,2\n" * 2000 + b"\xff\n", "blank asset name in header"),
+        ],
+        ids=["non-numeric", "ragged", "duplicate-assets", "not-utf8", "header-before-bad-bytes"],
+    )
+    def test_failed_parse_is_not_stored(self, cache, tmp_path, body, message):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(body)
+        for _ in range(2):
+            with pytest.raises(InputError) as got:
+                load_panel(path)
+            assert str(got.value) == message.format(path=path)
+        assert not cache.dir.exists() or not any(cache.dir.iterdir())
+
+    def test_stream_is_not_cached(self, cache):
+        load_panel(io.StringIO(full_precision_table()))
+        assert not cache.dir.exists()
 
 
 class TestStandardize:

@@ -284,6 +284,17 @@ class TestResidualSpectrum:
                 cutoff=0,
             )
 
+    def test_all_degenerate_residuals_rejected(self):
+        # Each column regressed on itself leaves nothing; one column left
+        # unexplained is still diagnosed.
+        panel = noise_panel(np.random.default_rng(14), 30, 3)
+        ref = mp_density(3, 30)
+        with pytest.raises(NumericalError, match="every residual column is degenerate"):
+            residual_spectrum(defactor(panel, panel.values), ref)
+        residuals = defactor(panel, panel.values[:, :2])
+        assert residuals.degenerate == ("A0", "A1")
+        assert residual_spectrum(residuals, ref).eigenvalues.size == 3
+
     def test_rejects_zero_width_reference_grid(self):
         panel = noise_panel(np.random.default_rng(13), 40, 4)
         flat = MpReference(lambda_minus=1.0, lambda_plus=1.0, grid=np.ones(2), density=np.zeros(2))

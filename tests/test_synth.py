@@ -279,10 +279,12 @@ class TestSpecValidation:
             (1, {"equicorrelation": np.nan}, NOT_REAL + "nan"),
             (1, {"equicorrelation": -np.inf}, NOT_REAL + "-inf"),
             (2, {"equicorrelation": "x", "correlation": np.eye(2)}, NOT_REAL + "'x'"),
+            (2, {"equicorrelation": 5}, "sector 'a' equicorrelation 5 invalid for size 2"),
         ],
         ids=[
             "size-zero", "size-negative", "correlation-shape", "equi-bool", "equi-str",
             "equi-nan", "singleton-nan", "singleton-inf", "equi-beside-correlation",
+            "equi-out-of-range",
         ],
     )
     def test_sector_spec_checked_when_built(self, size, fields, message):
