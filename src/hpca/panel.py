@@ -30,7 +30,7 @@ MISSING_TOKENS = frozenset({"", "na", "nan", "null", "n/a"})
 STANDARDIZE_TOL = 1e-12
 
 # Tag on the first line of a panel cache entry; an entry without it is a miss.
-CACHE_FORMAT = "hpca-panel-1"
+CACHE_FORMAT = "hpca-panel-2"
 
 
 @dataclass
@@ -188,10 +188,10 @@ def load_panel(source: str | Path | TextIO) -> ReturnsPanel:
     holds one, else a comma. Quoted fields and CRLF line endings are
     accepted.
 
-    A panel read from a path is kept in a binary cache entry for that path
-    under ``$XDG_CACHE_HOME/hpca/panels`` (default ``~/.cache``), with the
-    SHA-256 of the file's bytes; a later load of the same bytes returns the
-    stored panel instead of parsing again. A stream is always parsed.
+    A panel read from a path is kept in a binary cache entry named by the
+    SHA-256 of the file's bytes, under ``$XDG_CACHE_HOME/hpca/panels``
+    (``~/.cache`` if unset or relative), so a later load of the same bytes
+    from any path skips the parse. A stream is always parsed.
 
     Raises:
         InputError: duplicate asset names, fewer than 2 complete rows,
@@ -206,11 +206,13 @@ def load_panel(source: str | Path | TextIO) -> ReturnsPanel:
     # hashlib loads OpenSSL (~4 ms), which only a load from a path needs.
     import hashlib
 
-    digest = hashlib.sha256(data).hexdigest()
-    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    key = hashlib.sha256(os.fsencode(os.path.abspath(source))).hexdigest()
-    entry = Path(cache, "hpca", "panels", key)
-    panel = _read_entry(entry, digest)
+    # The XDG Base Directory spec has a relative path ignored; with no
+    # absolute cache directory, nothing is cached.
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):
+        cache = os.path.join(os.path.expanduser("~"), ".cache")
+    entry = Path(cache, "hpca", "panels", hashlib.sha256(data).hexdigest())
+    panel = _read_entry(entry) if entry.is_absolute() else None
     if panel is None:
         # Decoded chunk by chunk, as from the file, so the bytes are not
         # held twice and the first fault found is the same.
@@ -219,7 +221,8 @@ def load_panel(source: str | Path | TextIO) -> ReturnsPanel:
             panel = _parse_panel(stream)
         except UnicodeDecodeError as exc:
             raise _not_utf8(source, exc) from None
-        _write_entry(entry, digest, panel)
+        if entry.is_absolute():
+            _write_entry(entry, panel)
     return panel
 
 
@@ -249,31 +252,27 @@ def _parse_panel(stream: TextIO) -> ReturnsPanel:
     )
 
 
-def _read_entry(entry: Path, digest: str) -> ReturnsPanel | None:
-    """The panel stored in cache file ``entry`` for bytes of SHA-256 ``digest``.
+def _read_entry(entry: Path) -> ReturnsPanel | None:
+    """The panel stored in cache file ``entry``.
 
-    A missing, unreadable, truncated or foreign entry, or one stored for
-    other bytes, gives None.
+    A missing, unreadable or foreign entry, or one without exactly a value
+    for each date and asset, gives None.
     """
     try:
         with open(entry, "rb") as fh:
             head = json.loads(fh.readline())
-            if head["format"] != CACHE_FORMAT or head["sha256"] != digest:
+            if head["format"] != CACHE_FORMAT:
                 return None
-            values = np.empty(head["shape"], dtype="<f8")
+            dates, assets = tuple(head["dates"]), tuple(head["assets"])
+            values = np.empty((len(dates), len(assets)), dtype="<f8")
             if fh.readinto(values) != values.nbytes or fh.read(1):
                 return None
-        return ReturnsPanel(
-            dates=tuple(head["dates"]),
-            assets=tuple(head["assets"]),
-            values=values,
-            dropped_rows=head["dropped_rows"],
-        )
+        return ReturnsPanel(dates, assets, values, head["dropped_rows"])
     except (OSError, ValueError, LookupError, TypeError):
         return None
 
 
-def _write_entry(entry: Path, digest: str, panel: ReturnsPanel) -> None:
+def _write_entry(entry: Path, panel: ReturnsPanel) -> None:
     """Store ``panel`` as cache file ``entry``: a one-line JSON header, then
     the values as little-endian float64.
 
@@ -283,8 +282,6 @@ def _write_entry(entry: Path, digest: str, panel: ReturnsPanel) -> None:
     """
     head = {
         "format": CACHE_FORMAT,
-        "sha256": digest,
-        "shape": panel.values.shape,
         "dates": panel.dates,
         "assets": panel.assets,
         "dropped_rows": panel.dropped_rows,

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from hpca import panel as panel_module
 from hpca.cli import main
 from hpca.synth import MarketSpec, SectorSpec, default_market_spec, save_market_spec
 
@@ -104,6 +105,15 @@ class TestFitAndSpectrum:
         assert len(doc["spectrum"]) == 6
         assert "matrix" in doc
         assert (out / "eigenvectors.csv").exists()
+
+    def test_vectors_above_the_asset_count_writes_every_vector(self, tmp_path, simulated):
+        panel, sectors = simulated
+        out = tmp_path / "model"
+        args = ["fit", "--panel", str(panel), "--sectors", str(sectors), "--out", str(out)]
+        assert main([*args, "--vectors", "99"]) == 0
+        lines = (out / "eigenvectors.csv").read_text().splitlines()
+        assert lines[0] == "asset," + ",".join(f"EV{r}" for r in range(1, 7))
+        assert len(lines) == 7
 
     def test_spectrum_table(self, tmp_path, simulated, capsys):
         panel, sectors = simulated
@@ -233,6 +243,32 @@ class TestResiduals:
         panel, sectors = simulated
         rc = main(["residuals", "--panel", str(panel), "--sectors", str(sectors), "--method", "pca", "--m", "99"])
         assert rc == 1
+
+
+class TestPanelCache:
+    def test_same_seed_runs_in_two_directories_share_one_entry(
+        self, tmp_path, small_spec_file, monkeypatch
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        parses = []
+        parse = panel_module._parse_panel
+        monkeypatch.setattr(
+            panel_module, "_parse_panel", lambda stream: parses.append(1) or parse(stream)
+        )
+        runs = [tmp_path / "run1", tmp_path / "run2"]
+        for run in runs:
+            run.mkdir()
+            assert main([
+                "simulate", "--spec", str(small_spec_file), "--seed", "1",
+                "--out", str(run / "panel.csv"), "--sectors-out", str(run / "sectors.csv"),
+            ]) == 0
+        for run in runs:
+            assert main([
+                "fit", "--panel", str(run / "panel.csv"), "--sectors", str(run / "sectors.csv"),
+                "--out", str(run / "model"),
+            ]) == 0
+            assert len(parses) == 1
+        assert len(list((tmp_path / "xdg" / "hpca" / "panels").iterdir())) == 1
 
 
 class TestErrorPaths:

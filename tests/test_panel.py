@@ -1,11 +1,13 @@
 """Panel loading, standardization, and correlation."""
 
 import csv
+import hashlib
 import io
 import json
 import math
 import os
 import re
+import shutil
 import warnings
 from types import SimpleNamespace
 
@@ -315,35 +317,73 @@ class TestPanelCache:
         assert_same_panel(hit, parsed)
         assert_same_panel(hit, load_panel(io.StringIO(text, newline="")))
         head, payload = entry.read_bytes().split(b"\n", 1)
-        head = json.loads(head)
-        assert head["format"] == panel_module.CACHE_FORMAT
-        assert head["shape"] == list(parsed.values.shape)
-        assert head["dropped_rows"] == parsed.dropped_rows
+        assert entry.name == hashlib.sha256(text.encode()).hexdigest()
+        assert json.loads(head) == {
+            "format": panel_module.CACHE_FORMAT,
+            "dates": list(parsed.dates),
+            "assets": list(parsed.assets),
+            "dropped_rows": parsed.dropped_rows,
+        }
         assert len(payload) == parsed.values.size * 8
+
+    @pytest.mark.parametrize("spelling", ["copy", "symlink", "relative"])
+    def test_same_bytes_at_another_path_share_one_entry(
+        self, cache, tmp_path, monkeypatch, spelling
+    ):
+        path = tmp_path / "panel.csv"
+        path.write_text(full_precision_table())
+        parsed = load_panel(path)
+        other = tmp_path / "elsewhere" / "panel.csv"
+        other.parent.mkdir()
+        if spelling == "copy":
+            shutil.copyfile(path, other)
+        elif spelling == "symlink":
+            other.symlink_to(path)
+        else:
+            monkeypatch.chdir(other.parent)
+            other = os.path.join("..", "panel.csv")
+        assert_same_panel(load_panel(other), parsed)
+        assert len(cache.parses) == 1
+        assert len(list(cache.dir.iterdir())) == 1
 
     def test_same_size_rewrite_with_old_mtime_is_parsed_again(self, cache, tmp_path):
         path = tmp_path / "panel.csv"
-        path.write_text("date,A,B\nd1,0.25,1\nd2,2,3\n")
+        old, new = "date,A,B\nd1,0.25,1\nd2,2,3\n", "date,A,B\nd1,0.75,1\nd2,2,3\n"
+        path.write_text(old)
         load_panel(path)
         before = path.stat()
-        path.write_text("date,A,B\nd1,0.75,1\nd2,2,3\n")
+        path.write_text(new)
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
         assert path.stat().st_size == before.st_size
         assert path.stat().st_mtime_ns == before.st_mtime_ns
         assert load_panel(path).values[0, 0] == 0.75
         assert len(cache.parses) == 2
-        assert len(list(cache.dir.iterdir())) == 1
+        assert len(list(cache.dir.iterdir())) == 2
+        # Each content keeps its own entry, so going back is a hit too.
+        for text, first in [(old, 0.25), (new, 0.75)]:
+            path.write_text(text)
+            assert load_panel(path).values[0, 0] == first
+        assert len(cache.parses) == 2
 
     @pytest.mark.parametrize(
         "spoil",
         [
             lambda entry: entry[:-8],
             lambda entry: entry + bytes(8),
-            lambda entry: entry.replace(b'"hpca-panel-1"', b'"other-format"', 1),
+            lambda entry: entry.replace(
+                json.dumps(panel_module.CACHE_FORMAT).encode(), b'"other-format"', 1
+            ),
             lambda entry: b"not json\n" + entry.split(b"\n", 1)[1],
             lambda entry: b"",
+            # The values stay, but the header counts one date fewer or one
+            # asset more.
+            lambda entry: entry.replace(b'["d0", ', b"[", 1),
+            lambda entry: entry.replace(b'["A", ', b'["A", "Z", ', 1),
         ],
-        ids=["truncated", "padded", "foreign-format", "not-json", "empty"],
+        ids=[
+            "truncated", "padded", "foreign-format", "not-json", "empty",
+            "one-date-fewer", "one-asset-more",
+        ],
     )
     def test_spoiled_entry_is_a_miss_and_rewritten(self, cache, tmp_path, spoil):
         path = tmp_path / "panel.csv"
@@ -351,7 +391,9 @@ class TestPanelCache:
         parsed = load_panel(path)
         (entry,) = cache.dir.iterdir()
         good = entry.read_bytes()
-        entry.write_bytes(spoil(good))
+        spoiled = spoil(good)
+        assert spoiled != good
+        entry.write_bytes(spoiled)
         assert_same_panel(load_panel(path), parsed)
         assert len(cache.parses) == 2
         assert entry.read_bytes() == good
@@ -402,6 +444,28 @@ class TestPanelCache:
     def test_stream_is_not_cached(self, cache):
         load_panel(io.StringIO(full_precision_table()))
         assert not cache.dir.exists()
+
+    @pytest.mark.parametrize("home", ["absolute", "relative"])
+    def test_relative_cache_home_is_ignored(self, cache, tmp_path, monkeypatch, home):
+        # HOME and the working directory both lie in tmp_path, so nothing
+        # can reach the real home directory.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("HOME", str(tmp_path / "home") if home == "absolute" else "home")
+        monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+        path = tmp_path / "panel.csv"
+        path.write_text(full_precision_table())
+        first, second = load_panel(path), load_panel(path)
+        assert_same_panel(second, first)
+        assert list(work.iterdir()) == []
+        if home == "absolute":
+            assert len(cache.parses) == 1
+            assert len(list((tmp_path / "home/.cache/hpca/panels").iterdir())) == 1
+        else:
+            # With no absolute cache directory, every load parses.
+            assert len(cache.parses) == 2
+            assert not (tmp_path / "home").exists()
 
 
 class TestStandardize:
