@@ -52,6 +52,31 @@ def _asymmetry(a: np.ndarray) -> float:
     return float(np.abs(diff, out=diff).max())
 
 
+def _checked_symmetric(matrix, what: str, tol: float) -> tuple[np.ndarray, float]:
+    """``matrix`` as a float array and its ``max |A - A^T|``.
+
+    Raises ``InputError`` naming ``what`` unless the matrix is 2-d, square,
+    non-empty, finite and symmetric to ``tol``.
+    """
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InputError(f"{what} must be square and non-empty, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InputError(f"{what} contains non-finite entries")
+    asym = _asymmetry(a)
+    if asym > tol:
+        raise InputError(f"{what} is not symmetric: max |A - A^T| = {asym:g}")
+    return a, asym
+
+
+def _checked_correlation(matrix, what: str, tol: float) -> np.ndarray:
+    """``_checked_symmetric``'s array, whose diagonal is also 1 to ``tol``."""
+    a, _ = _checked_symmetric(matrix, what, tol)
+    if np.abs(np.diag(a) - 1.0).max() > tol:
+        raise InputError(f"{what} diagonal is not 1")
+    return a
+
+
 def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
     """Decompose a real symmetric matrix deterministically.
 
@@ -72,14 +97,7 @@ def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
         InputError: empty or non-square input, non-finite entries, or
             asymmetry beyond tolerance.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise InputError(f"expected a non-empty square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InputError("matrix contains non-finite entries")
-    asym = _asymmetry(a)
-    if asym > SYMMETRY_TOL:
-        raise InputError(f"matrix is not symmetric: max |A - A^T| = {asym:g}")
+    a, asym = _checked_symmetric(matrix, "matrix", SYMMETRY_TOL)
     if asym:
         a = 0.5 * (a + a.T)
 

@@ -21,7 +21,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .eigen import _asymmetry
+from .eigen import _asymmetry, _checked_correlation
 from .errors import InputError
 
 # Cell contents treated as a missing observation (case-insensitive).
@@ -100,21 +100,10 @@ class CorrelationMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise InputError(f"correlation matrix must be square, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise InputError("correlation matrix contains non-finite entries")
-        if _asymmetry(v) > 1e-12:
-            raise InputError("correlation matrix is not symmetric")
-        if np.abs(np.diag(v) - 1.0).max() > 1e-12:
-            raise InputError("correlation matrix diagonal is not 1")
+        self.values = v = _checked_correlation(self.values, "correlation matrix", 1e-12)
         largest = np.maximum(v.max(), -v.min())
         if largest > 1.0 + 1e-12:
-            raise InputError(
-                f"correlation entries outside [-1, 1]: max |entry| = {largest:.17g}"
-            )
+            raise InputError(f"correlation entries outside [-1, 1]: max |entry| = {largest:.17g}")
 
 
 @contextmanager

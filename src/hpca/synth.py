@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigen import Spectrum, _asymmetry, sym_eig_sorted
+from .eigen import SYMMETRY_TOL, Spectrum, _checked_correlation, sym_eig_sorted
 from .errors import InputError
 from .model import assemble_hpca_matrix
 from .panel import ReturnsPanel, _dump_json, _load_json
@@ -44,15 +44,7 @@ DEFAULT_INTRA = (0.35, 0.30, 0.45, 0.40, 0.30, 0.35, 0.35, 0.40, 0.35, 0.50, 0.4
 
 
 def _check_correlation(matrix: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"{what} must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InputError(f"{what} contains non-finite entries")
-    if _asymmetry(m) > 1e-10:
-        raise InputError(f"{what} is not symmetric")
-    if np.abs(np.diag(m) - 1.0).max() > 1e-10:
-        raise InputError(f"{what} diagonal is not 1")
+    m = _checked_correlation(matrix, what, SYMMETRY_TOL)
     if float(np.linalg.eigvalsh(0.5 * (m + m.T)).min()) < PSD_TOL:
         raise InputError(f"{what} is not positive semi-definite")
     return m

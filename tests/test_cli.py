@@ -507,13 +507,17 @@ class TestInputFailuresReportCleanly:
             "compare": ["--panel", panel, "--sectors", sectors],
             "residuals": ["--panel", panel, "--sectors", sectors, "--method", "hpca"],
         }[command]
-        proc = subprocess.run(
-            [sys.executable, "-m", "hpca", command, *map(str, inputs), option, "-1"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        assert f"argument {option}: expected a non-negative integer" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        for count in ("-1", "abc", "1.5"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hpca", command, *map(str, inputs), option, count],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 1
+            assert (
+                f"argument {option}: expected a non-negative integer, got {count!r}"
+                in proc.stderr
+            )
+            assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("bad", ["panel", "sectors"])
     def test_fit_on_non_utf8_file(self, tmp_path, simulated, bad):

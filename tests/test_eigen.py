@@ -1,10 +1,18 @@
 """Deterministic symmetric eigendecomposition."""
 
+import re
+from contextlib import suppress
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hpca.eigen import SYMMETRY_TOL, ZERO_SUM_TOL, sym_eig_sorted
 from hpca.errors import InputError
+from hpca.panel import CorrelationMatrix
+from hpca.synth import MarketSpec, SectorSpec
 
 
 def random_symmetric(rng, n):
@@ -79,6 +87,55 @@ class TestErrors:
         a[0, 1] = 1e-11
         spec = sym_eig_sorted(a)
         assert spec.eigenvalues.shape == (3,)
+
+
+def _market(matrix):
+    sectors = tuple(SectorSpec(f"s{k}", 1) for k in range(max(np.shape(matrix)[0], 1)))
+    return MarketSpec(sectors=sectors, factor_correlation=matrix, n_periods=10)
+
+
+# Every public way in to the one symmetric-matrix check, and the name that
+# its errors give the matrix.
+ENTRY_POINTS = {
+    "sym_eig_sorted": (sym_eig_sorted, "matrix"),
+    "CorrelationMatrix": (CorrelationMatrix, "correlation matrix"),
+    "SectorSpec": (
+        lambda m: SectorSpec("a", max(np.shape(m)[0], 1), correlation=m),
+        "sector 'a' correlation",
+    ),
+    "MarketSpec": (_market, "factor correlation"),
+}
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 4 x 4, of 0, +-0.5, 1, nan and +-inf, often symmetric, some 1e-11 off."""
+    shape = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    entries = st.sampled_from([0.0, 0.5, -0.5, 1.0, np.nan, np.inf, -np.inf])
+    a = draw(arrays(float, shape, elements=entries))
+    if shape[0] == shape[1]:
+        if draw(st.booleans()):
+            a = np.triu(a) + np.triu(a, 1).T
+        if draw(st.booleans()):
+            np.fill_diagonal(a, 1.0)
+    if a.size and draw(st.booleans()):
+        a[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] += 1e-11
+    return a
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+class TestOneCheck:
+    def test_empty_matrix_rejected_by_name(self, entry):
+        call, what = ENTRY_POINTS[entry]
+        message = f"{what} must be square and non-empty, got shape (0, 0)"
+        with pytest.raises(InputError, match=re.escape(message)):
+            call(np.zeros((0, 0)))
+
+    @settings(database=None, deadline=None)
+    @given(matrix=small_matrices())
+    def test_raises_nothing_but_input_error(self, entry, matrix):
+        with suppress(InputError):
+            ENTRY_POINTS[entry][0](matrix)
 
 
 class TestInvariants:

@@ -235,6 +235,7 @@ DIRTY_PANELS = [
     ("tab-empty-row", "\n".join(line.replace(",", "\t") for line in CLEAN_LINES) + "\n\t\t\t\n", True),
     ("quoted-date", dirty(2, date='"Jan 2, 2020"'), False),
     ("quoted-plain-date", dirty(2, date='"2020-01-02"'), False),
+    ("quoted-date-blank-lines", dirty(2, date='"Jan 2, 2020"', end="\n\n   "), False),
     ("hash-in-date", dirty(2, date="2020-01-02#close"), True),
     ("spaced-date", dirty(2, date="Jan 2 2020"), True),
     ("missing-token-as-date", dirty(2, date="NA", BBB=" 0.5"), True),
@@ -634,7 +635,7 @@ class TestCorrelation:
     @pytest.mark.parametrize(
         "values, message",
         [
-            (np.zeros((2, 3)), "correlation matrix must be square, got (2, 3)"),
+            (np.zeros((2, 3)), "correlation matrix must be square and non-empty, got shape (2, 3)"),
             ([[1.0, 0.5], [0.5, 0.9]], "correlation matrix diagonal is not 1"),
             ([[1.0, 1.5], [1.5, 1.0]], "outside [-1, 1]: max |entry| = 1.5"),
             ([[1.0, -1.25], [-1.25, 1.0]], "outside [-1, 1]: max |entry| = 1.25"),

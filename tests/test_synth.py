@@ -251,13 +251,13 @@ class TestSpecValidation:
             "factor_correlation": [[1.0]],
             "sectors": [{"name": "a", "size": 2, "correlation": None}],
         }
-        with pytest.raises(InputError, match=re.escape("'a' correlation must be square, got shape ()")):
+        with pytest.raises(InputError, match=re.escape("'a' correlation must be square and non-empty, got shape ()")):
             market_spec_from_dict(doc)
 
     @pytest.mark.parametrize(
         "matrix, message",
         [
-            (np.zeros((2, 3)), "m must be square, got shape (2, 3)"),
+            (np.zeros((2, 3)), "m must be square and non-empty, got shape (2, 3)"),
             ([[1.0, 0.3], [0.2, 1.0]], "m is not symmetric"),
             ([[1.0, 0.3], [0.3, 0.5]], "m diagonal is not 1"),
         ],
