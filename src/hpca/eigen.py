@@ -52,13 +52,21 @@ def _asymmetry(a: np.ndarray) -> float:
     return float(np.abs(diff, out=diff).max())
 
 
+def _as_numbers(value, what: str, dtype=float) -> np.ndarray:
+    """``value`` as a ``dtype`` array; ``InputError`` naming ``what`` if it cannot be read as one."""
+    try:
+        return np.asarray(value, dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be an array of numbers") from exc
+
+
 def _checked_symmetric(matrix, what: str, tol: float) -> tuple[np.ndarray, float]:
     """``matrix`` as a float array and its ``max |A - A^T|``.
 
     Raises ``InputError`` naming ``what`` unless the matrix is 2-d, square,
     non-empty, finite and symmetric to ``tol``.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = _as_numbers(matrix, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise InputError(f"{what} must be square and non-empty, got shape {a.shape}")
     if not np.isfinite(a).all():

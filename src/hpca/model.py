@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .eigen import Spectrum, sym_eig_sorted
+from .eigen import Spectrum, _as_numbers, sym_eig_sorted
 from .errors import InputError, NumericalError
 from .panel import StandardizedPanel, _dump_json, _gram_correlation, _load_json, _write_rows
 from .sectors import SectorModel, SectorPartition, fit_all_sectors
@@ -38,7 +38,7 @@ def inter_sector_corr(factors: np.ndarray) -> np.ndarray:
     Returns:
         b x b symmetric correlation matrix with an exact unit diagonal.
     """
-    f = np.asarray(factors, dtype=float)
+    f = _as_numbers(factors, "factor matrix")
     if f.ndim != 2 or f.shape[0] < 2:
         raise InputError(f"factor matrix must be T x b with T >= 2, got {f.shape}")
     centered = f - f.mean(axis=0)
@@ -62,7 +62,7 @@ def assemble_hpca_matrix(
     b = partition.n_sectors
     if len(block_correlations) != b or len(block_betas) != b:
         raise InputError("need one correlation block and one beta vector per sector")
-    factor_corr = np.asarray(factor_corr, dtype=float)
+    factor_corr = _as_numbers(factor_corr, "factor correlation")
     if factor_corr.shape != (b, b):
         raise InputError(
             f"factor correlation must be {b} x {b}, got {factor_corr.shape}"
@@ -71,16 +71,18 @@ def assemble_hpca_matrix(
     beta = np.empty(n)
     for k in range(b):
         members = partition.members(k)
-        if block_betas[k].shape != (members.size,):
+        sector_beta = _as_numbers(block_betas[k], f"beta vector for sector {k}")
+        if sector_beta.shape != (members.size,):
             raise InputError(f"beta vector for sector {k} has the wrong length")
-        beta[members] = block_betas[k]
+        beta[members] = sector_beta
     sec = partition.assignment
     matrix = np.outer(beta, beta) * factor_corr[np.ix_(sec, sec)]
     for k in range(b):
         members = partition.members(k)
-        if block_correlations[k].shape != (members.size, members.size):
+        block = _as_numbers(block_correlations[k], f"correlation block for sector {k}")
+        if block.shape != (members.size, members.size):
             raise InputError(f"correlation block for sector {k} has the wrong shape")
-        matrix[np.ix_(members, members)] = block_correlations[k]
+        matrix[np.ix_(members, members)] = block
     return matrix
 
 
@@ -102,8 +104,8 @@ def build_factor_cov(
     leading_eigenvalues: Sequence[float] | np.ndarray, factor_corr: np.ndarray
 ) -> FactorCovariance:
     """Build the scaled-factor covariance matrix and decompose it."""
-    lam1 = np.asarray(leading_eigenvalues, dtype=float)
-    factor_corr = np.asarray(factor_corr, dtype=float)
+    lam1 = _as_numbers(leading_eigenvalues, "leading eigenvalues")
+    factor_corr = _as_numbers(factor_corr, "factor correlation")
     if lam1.ndim != 1 or factor_corr.shape != (lam1.size, lam1.size):
         raise InputError("need one leading eigenvalue per sector")
     if (lam1 <= 0.0).any():
@@ -257,16 +259,16 @@ def eigenportfolio_series(
     values ``X``, which gives unit sample variance when ``v_k`` is an
     eigenvector of the panel's own correlation matrix.
     """
-    values = np.asarray(values, dtype=float)
+    values = _as_numbers(values, "panel values")
     n = values.shape[1]
     if not 0 <= count <= n:
         raise InputError(f"factor count {count} out of range [0, {n}]")
-    lam = np.asarray(eigenvalues, dtype=float)[:count]
+    lam = _as_numbers(eigenvalues, "eigenvalues")[:count]
     if (lam <= 1e-12).any():
         raise NumericalError(
             "cannot realize eigenportfolios for non-positive eigenvalues"
         )
-    return values @ eigenvectors[:, :count] / np.sqrt(lam)
+    return values @ _as_numbers(eigenvectors, "eigenvectors")[:, :count] / np.sqrt(lam)
 
 
 def model_to_dict(model: HpcaModel, include_matrix: bool = False) -> dict:

@@ -21,7 +21,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .eigen import _asymmetry, _checked_correlation
+from .eigen import _as_numbers, _asymmetry, _checked_correlation
 from .errors import InputError
 
 # Cell contents treated as a missing observation (case-insensitive).
@@ -43,7 +43,7 @@ class ReturnsPanel:
     dropped_rows: int = 0
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = _as_numbers(self.values, "panel values")
         if self.values.ndim != 2:
             raise InputError(f"panel values must be 2-d, got {self.values.ndim}-d")
         t, n = self.values.shape
@@ -61,6 +61,11 @@ class ReturnsPanel:
             raise InputError(f"duplicate asset names: {', '.join(dupes)}")
         if not np.isfinite(self.values).all():
             raise InputError("panel contains missing or non-finite values")
+
+    @classmethod
+    def _derived(cls, source: ReturnsPanel, values: np.ndarray, **fields):
+        """A ``cls`` panel of ``values`` over ``source``'s dates, assets and dropped-row count."""
+        return cls(source.dates, source.assets, values, source.dropped_rows, **fields)
 
     @property
     def n_periods(self) -> int:
@@ -236,9 +241,7 @@ def _parse_panel(stream: TextIO) -> ReturnsPanel:
         raise InputError(
             f"fewer than 2 complete rows after dropping {dropped} incomplete row(s)"
         )
-    return ReturnsPanel(
-        dates=dates, assets=assets, values=values, dropped_rows=dropped
-    )
+    return ReturnsPanel(dates, assets, values, dropped)
 
 
 def _read_entry(entry: Path) -> ReturnsPanel | None:
@@ -416,12 +419,7 @@ def standardize(panel: ReturnsPanel) -> StandardizedPanel:
         names = ", ".join(panel.assets[i] for i in degenerate)
         raise InputError(f"constant column(s) cannot be standardized: {names}")
     centered /= stds
-    return StandardizedPanel(
-        dates=panel.dates,
-        assets=panel.assets,
-        values=centered,
-        dropped_rows=panel.dropped_rows,
-    )
+    return StandardizedPanel._derived(panel, centered)
 
 
 def correlation(panel: StandardizedPanel) -> CorrelationMatrix:

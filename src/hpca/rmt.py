@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigen import _as_numbers
 from .errors import InputError, NumericalError
 from .panel import ReturnsPanel, StandardizedPanel, _gram_correlation
 
@@ -100,7 +101,7 @@ def defactor(
     """
     if not isinstance(panel, StandardizedPanel):
         raise InputError("defactor expects a standardized panel")
-    f = np.asarray(factors, dtype=float)
+    f = _as_numbers(factors, "factor matrix")
     if f.size == 0:
         f = f.reshape(panel.n_periods, 0)
     if f.ndim != 2 or f.shape[0] != panel.n_periods:
@@ -111,14 +112,7 @@ def defactor(
         raise InputError("factor matrix contains non-finite values")
     m = f.shape[1]
     if m == 0:
-        return ResidualPanel(
-            dates=panel.dates,
-            assets=panel.assets,
-            values=panel.values.copy(),
-            dropped_rows=panel.dropped_rows,
-            model_type=model_type,
-            cutoff=0,
-        )
+        return ResidualPanel._derived(panel, panel.values.copy(), model_type=model_type, cutoff=0)
 
     # |R_jj| of the unpivoted QR is the distance of design column j from the
     # span of the columns before it; column 0 is the intercept. With more
@@ -146,14 +140,9 @@ def defactor(
     dead = stds <= 1e-12
     residuals /= np.where(dead, 1.0, stds)
     residuals[:, dead] = 0.0
-    return ResidualPanel(
-        dates=panel.dates,
-        assets=panel.assets,
-        values=residuals,
-        dropped_rows=panel.dropped_rows,
-        model_type=model_type,
-        cutoff=m,
-        degenerate=tuple(panel.assets[i] for i in np.flatnonzero(dead)),
+    degenerate = tuple(panel.assets[i] for i in np.flatnonzero(dead))
+    return ResidualPanel._derived(
+        panel, residuals, model_type=model_type, cutoff=m, degenerate=degenerate
     )
 
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .eigen import Spectrum, sym_eig_sorted
+from .eigen import Spectrum, _as_numbers, sym_eig_sorted
 from .errors import InputError
 from .panel import StandardizedPanel, _gram_correlation, _text_stream
 
@@ -34,7 +34,7 @@ class SectorPartition:
     assignment: np.ndarray
 
     def __post_init__(self) -> None:
-        self.assignment = np.asarray(self.assignment, dtype=int)
+        self.assignment = _as_numbers(self.assignment, "sector assignment", int)
         if self.assignment.ndim != 1:
             raise InputError("sector assignment must be 1-d")
         b = len(self.labels)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigen import SYMMETRY_TOL, Spectrum, _checked_correlation, sym_eig_sorted
+from .eigen import SYMMETRY_TOL, Spectrum, _as_numbers, _checked_correlation, sym_eig_sorted
 from .errors import InputError
 from .model import assemble_hpca_matrix
 from .panel import ReturnsPanel, _dump_json, _load_json
@@ -280,7 +280,9 @@ def market_spec_from_dict(doc: dict) -> MarketSpec:
                 size=entry["size"],
                 equicorrelation=entry.get("equicorrelation"),
                 correlation=(
-                    np.asarray(entry["correlation"], dtype=float) if "correlation" in entry else None
+                    _as_numbers(entry["correlation"], f"sector {entry['name']!r} correlation")
+                    if "correlation" in entry  # a JSON null is a 0-d NaN array, not an omission
+                    else None
                 ),
             )
             for entry in doc["sectors"]

@@ -11,7 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from hpca.eigen import SYMMETRY_TOL, ZERO_SUM_TOL, sym_eig_sorted
 from hpca.errors import InputError
-from hpca.panel import CorrelationMatrix
+from hpca.model import assemble_hpca_matrix, build_factor_cov, eigenportfolio_series, inter_sector_corr
+from hpca.panel import CorrelationMatrix, ReturnsPanel, standardize
+from hpca.rmt import defactor
+from hpca.sectors import SectorPartition
 from hpca.synth import MarketSpec, SectorSpec
 
 
@@ -90,7 +93,7 @@ class TestErrors:
 
 
 def _market(matrix):
-    sectors = tuple(SectorSpec(f"s{k}", 1) for k in range(max(np.shape(matrix)[0], 1)))
+    sectors = tuple(SectorSpec(f"s{k}", 1) for k in range(max(len(matrix), 1)))
     return MarketSpec(sectors=sectors, factor_correlation=matrix, n_periods=10)
 
 
@@ -100,7 +103,7 @@ ENTRY_POINTS = {
     "sym_eig_sorted": (sym_eig_sorted, "matrix"),
     "CorrelationMatrix": (CorrelationMatrix, "correlation matrix"),
     "SectorSpec": (
-        lambda m: SectorSpec("a", max(np.shape(m)[0], 1), correlation=m),
+        lambda m: SectorSpec("a", max(len(m), 1), correlation=m),
         "sector 'a' correlation",
     ),
     "MarketSpec": (_market, "factor correlation"),
@@ -123,6 +126,12 @@ def small_matrices(draw):
     return a
 
 
+# Nested Python lists, some ragged, that can hold strings and an int too large for a float.
+nested_lists = st.lists(
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, "1", "x", 10**400]), max_size=4), max_size=4
+)
+
+
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 class TestOneCheck:
     def test_empty_matrix_rejected_by_name(self, entry):
@@ -132,10 +141,66 @@ class TestOneCheck:
             call(np.zeros((0, 0)))
 
     @settings(database=None, deadline=None)
-    @given(matrix=small_matrices())
+    @given(matrix=st.one_of(small_matrices(), nested_lists))
     def test_raises_nothing_but_input_error(self, entry, matrix):
         with suppress(InputError):
             ENTRY_POINTS[entry][0](matrix)
+
+
+_PARTITION = SectorPartition(("a", "b"), [0, 1])
+_EYE = np.eye(1)
+_STANDARDIZED = standardize(ReturnsPanel(("d1", "d2", "d3"), ("a",), [[1.0], [2.0], [4.0]]))
+
+# Every array argument a caller can pass in, with valid values for the other
+# arguments, and the name that its errors give it.
+ARRAY_ARGUMENTS = {
+    **ENTRY_POINTS,
+    "ReturnsPanel.values": (lambda v: ReturnsPanel(("d1", "d2"), ("a",), v), "panel values"),
+    "SectorPartition.assignment": (lambda a: SectorPartition(("a",), a), "sector assignment"),
+    "inter_sector_corr": (inter_sector_corr, "factor matrix"),
+    "assemble_hpca_matrix.factor_corr": (
+        lambda f: assemble_hpca_matrix(_PARTITION, [_EYE, _EYE], [np.ones(1)] * 2, f),
+        "factor correlation",
+    ),
+    "assemble_hpca_matrix.block_betas": (
+        lambda b: assemble_hpca_matrix(_PARTITION, [_EYE, _EYE], [b, np.ones(1)], np.eye(2)),
+        "beta vector for sector 0",
+    ),
+    "assemble_hpca_matrix.block_correlations": (
+        lambda c: assemble_hpca_matrix(_PARTITION, [_EYE, c], [np.ones(1)] * 2, np.eye(2)),
+        "correlation block for sector 1",
+    ),
+    "build_factor_cov.leading_eigenvalues": (
+        lambda lam: build_factor_cov(lam, np.eye(2)), "leading eigenvalues"
+    ),
+    "build_factor_cov.factor_corr": (lambda f: build_factor_cov([1.0, 2.0], f), "factor correlation"),
+    "eigenportfolio_series.values": (
+        lambda v: eigenportfolio_series(v, [1.0], _EYE, 1), "panel values"
+    ),
+    "eigenportfolio_series.eigenvalues": (
+        lambda lam: eigenportfolio_series([[1.0], [-1.0]], lam, _EYE, 1), "eigenvalues"
+    ),
+    "eigenportfolio_series.eigenvectors": (
+        lambda v: eigenportfolio_series([[1.0], [-1.0]], [1.0], v, 1), "eigenvectors"
+    ),
+    "defactor": (lambda f: defactor(_STANDARDIZED, f), "factor matrix"),
+}
+
+BAD_ARRAYS = {
+    "ragged": [[1.0], [1.0, 0.5]],
+    "non-numeric": [["1", "x"], ["x", "1"]],
+    "overflow": [[10**400]],
+    "dict": {"a": 1.0},
+}
+
+
+class TestOneConversion:
+    @pytest.mark.parametrize("bad", BAD_ARRAYS)
+    @pytest.mark.parametrize("argument", ARRAY_ARGUMENTS)
+    def test_unreadable_array_rejected_by_name(self, argument, bad):
+        call, what = ARRAY_ARGUMENTS[argument]
+        with pytest.raises(InputError, match=re.escape(f"{what} must be an array of numbers")):
+            call(BAD_ARRAYS[bad])
 
 
 class TestInvariants:

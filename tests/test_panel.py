@@ -501,6 +501,12 @@ class TestStandardize:
         assert np.abs(std.values.mean(axis=0)).max() <= 1e-12
         assert np.abs(std.values.std(axis=0, ddof=1) - 1.0).max() <= 1e-12
 
+    def test_keeps_the_source_labels_and_dropped_rows(self):
+        panel = make_panel([[1.0, 4.0], [2.0, 3.0], [4.0, 1.0]], assets=("X", "Y"))
+        panel.dropped_rows = 3
+        std = standardize(panel)
+        assert (std.dates, std.assets, std.dropped_rows) == (panel.dates, ("X", "Y"), 3)
+
     @pytest.mark.parametrize("t", [2, 3, 1000, 50000])
     def test_invariants_hold_from_two_rows_to_long_panels(self, t):
         rng = np.random.default_rng(t)

@@ -1,5 +1,6 @@
 """Synthetic market generator and its ground-truth guarantees."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -252,6 +253,19 @@ class TestSpecValidation:
             "sectors": [{"name": "a", "size": 2, "correlation": None}],
         }
         with pytest.raises(InputError, match=re.escape("'a' correlation must be square and non-empty, got shape ()")):
+            market_spec_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[[1.0], [1.0, 0.5]]", '[["1", "x"], ["x", "1"]]', f"[[{10**400}]]", '{"a": 1.0}'],
+        ids=["ragged", "non-numeric", "overflow", "dict"],
+    )
+    def test_unreadable_sector_correlation_rejected_by_name(self, text):
+        doc = json.loads(
+            f'{{"n_periods": 10, "factor_correlation": [[1.0]], '
+            f'"sectors": [{{"name": "a", "size": 2, "correlation": {text}}}]}}'
+        )
+        with pytest.raises(InputError, match="sector 'a' correlation must be an array of numbers"):
             market_spec_from_dict(doc)
 
     @pytest.mark.parametrize(
