@@ -8,6 +8,7 @@ Subcommands:
     simulate   generate a synthetic panel from a market spec
 
 Exit codes: 0 success, 1 input error, 2 numerical failure.
+Each handler imports what it needs, so only the numeric commands load numpy.
 """
 
 from __future__ import annotations
@@ -16,22 +17,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .eigen import sym_eig_sorted
 from .errors import InputError, NumericalError
-from .model import (
-    eigenportfolio_series,
-    fit_hpca,
-    load_model_dict,
-    save_model,
-)
-from .panel import _dump_json, _write_rows, correlation, load_panel, standardize, write_panel
-from .report import build_comparison, render_text, report_to_dict
-from .rmt import mp_density, residual_spectrum, defactor
-from .sectors import SectorPartition, load_sector_map
-from .synth import generate, load_market_spec, sector_map_for
+from .textio import _dump_json, _write_rows, load_model_dict
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -58,6 +46,8 @@ def _count(text: str) -> int:
 
 
 def _load_inputs(panel_path: str, sectors_path: str):
+    from .panel import load_panel, standardize
+    from .sectors import SectorPartition, load_sector_map
     panel = load_panel(panel_path)
     mapping = load_sector_map(sectors_path)
     partition = SectorPartition.from_mapping(panel.assets, mapping)
@@ -65,6 +55,7 @@ def _load_inputs(panel_path: str, sectors_path: str):
 
 
 def _cmd_fit(args) -> None:
+    from .model import fit_hpca, save_model
     panel, partition = _load_inputs(args.panel, args.sectors)
     model = fit_hpca(panel, partition)
     path = save_model(
@@ -89,6 +80,10 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_compare(args) -> None:
+    from .eigen import sym_eig_sorted
+    from .model import fit_hpca
+    from .panel import correlation
+    from .report import build_comparison, render_text, report_to_dict
     panel, partition = _load_inputs(args.panel, args.sectors)
     pca = sym_eig_sorted(correlation(panel).values)
     model = fit_hpca(panel, partition)
@@ -100,6 +95,10 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_residuals(args) -> None:
+    from .eigen import sym_eig_sorted
+    from .model import eigenportfolio_series, fit_hpca
+    from .panel import correlation
+    from .rmt import defactor, mp_density, residual_spectrum
     panel, partition = _load_inputs(args.panel, args.sectors)
     n, t = panel.n_assets, panel.n_periods
     ref = mp_density(n, t)
@@ -151,6 +150,8 @@ def _cmd_residuals(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    from .panel import write_panel
+    from .synth import generate, load_market_spec, sector_map_for
     spec = load_market_spec(args.spec)
     panel, _ = generate(spec, seed=args.seed)
     write_panel(panel, args.out)
@@ -224,10 +225,16 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, *_linalg_errors()) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
+
+
+def _linalg_errors() -> tuple[type[Exception], ...]:
+    """numpy's ``LinAlgError`` if a handler loaded numpy; ``main`` loads none."""
+    numpy = sys.modules.get("numpy")
+    return (numpy.linalg.LinAlgError,) if numpy else ()
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ need eigenvalues alone (the residual spectrum) use ``np.linalg.eigvalsh``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,19 @@ def _as_numbers(value, what: str, dtype=float) -> np.ndarray:
         return np.asarray(value, dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be an array of numbers") from exc
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int: an integer, or a float with no fractional part.
+
+    Every integer argument a caller passes in goes through here. Booleans
+    and everything else are refused, so a size read from JSON as ``2.0``
+    works and ``2.5``, ``true`` or ``"2"`` do not.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise InputError(f"{what} must be a whole number, got {value!r}")
 
 
 def _checked_symmetric(matrix, what: str, tol: float) -> tuple[np.ndarray, float]:

@@ -17,15 +17,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .eigen import Spectrum, _as_numbers, sym_eig_sorted
+from .eigen import Spectrum, _as_numbers, _whole, sym_eig_sorted
 from .errors import InputError, NumericalError
-from .panel import StandardizedPanel, _dump_json, _gram_correlation, _load_json, _write_rows
+from .panel import StandardizedPanel, _gram_correlation
 from .sectors import SectorModel, SectorPartition, fit_all_sectors
+# ``load_model_dict`` lives with the numpy-free helpers, for ``hpca spectrum``.
+from .textio import MODEL_FILENAME, _dump_json, _write_rows, load_model_dict
 
 MULTI_SECTOR = "multi-sector"
 SECTOR = "sector"
 
-MODEL_FILENAME = "model.json"
 VECTORS_FILENAME = "eigenvectors.csv"
 
 
@@ -260,15 +261,27 @@ def eigenportfolio_series(
     eigenvector of the panel's own correlation matrix.
     """
     values = _as_numbers(values, "panel values")
-    n = values.shape[1]
+    lam = _as_numbers(eigenvalues, "eigenvalues")
+    vectors = _as_numbers(eigenvectors, "eigenvectors")
+    if values.ndim != 2:
+        raise InputError(f"panel values must be 2-d, got shape {values.shape}")
+    n, count = values.shape[1], _whole(count, "count")
     if not 0 <= count <= n:
         raise InputError(f"factor count {count} out of range [0, {n}]")
-    lam = _as_numbers(eigenvalues, "eigenvalues")[:count]
+    if lam.ndim != 1 or lam.size < count:
+        raise InputError(
+            f"eigenvalues must be 1-d with at least {count} values, got shape {lam.shape}"
+        )
+    if vectors.ndim != 2 or vectors.shape[0] != n or vectors.shape[1] < count:
+        raise InputError(
+            f"eigenvectors must be {n} x at least {count}, got shape {vectors.shape}"
+        )
+    lam = lam[:count]
     if (lam <= 1e-12).any():
         raise NumericalError(
             "cannot realize eigenportfolios for non-positive eigenvalues"
         )
-    return values @ _as_numbers(eigenvectors, "eigenvectors")[:, :count] / np.sqrt(lam)
+    return values @ vectors[:, :count] / np.sqrt(lam)
 
 
 def model_to_dict(model: HpcaModel, include_matrix: bool = False) -> dict:
@@ -320,16 +333,6 @@ def save_model(
     if vectors > 0:
         write_eigenvector_table(model.spectrum, directory / VECTORS_FILENAME, vectors)
     return path
-
-
-def load_model_dict(directory: str | Path) -> dict:
-    """Read back the JSON document written by :func:`save_model`."""
-    path = Path(directory)
-    if path.is_dir():
-        path = path / MODEL_FILENAME
-    if not path.exists():
-        raise InputError(f"no model file at {path}")
-    return _load_json(path, f"model file {path}")
 
 
 def write_eigenvector_table(spectrum: LabeledSpectrum, dest: str | Path, count: int) -> None:

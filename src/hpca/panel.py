@@ -12,17 +12,20 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 
+from . import _rows
 from .eigen import _as_numbers, _asymmetry, _checked_correlation
 from .errors import InputError
+from .textio import _not_utf8, _text_stream
 
 # Cell contents treated as a missing observation (case-insensitive).
 MISSING_TOKENS = frozenset({"", "na", "nan", "null", "n/a"})
@@ -31,6 +34,10 @@ STANDARDIZE_TOL = 1e-12
 
 # Tag on the first line of a panel cache entry; an entry without it is a miss.
 CACHE_FORMAT = "hpca-panel-2"
+
+# Values a panel needs before ``write_panel`` formats half of its rows in a
+# second interpreter: half the ``repr`` work must outweigh its ~20 ms start-up.
+SPLIT_VALUES = 2**16
 
 
 @dataclass
@@ -109,50 +116,6 @@ class CorrelationMatrix:
         largest = np.maximum(v.max(), -v.min())
         if largest > 1.0 + 1e-12:
             raise InputError(f"correlation entries outside [-1, 1]: max |entry| = {largest:.17g}")
-
-
-@contextmanager
-def _text_stream(source: str | Path | TextIO, mode: str = "r") -> Iterator[TextIO]:
-    """Open a path as UTF-8 text (closed on exit), or use the stream given.
-
-    Bytes that are not UTF-8 surface as :class:`InputError`.
-    """
-    try:
-        if isinstance(source, (str, Path)):
-            with open(source, mode, encoding="utf-8", newline="") as fh:
-                yield fh
-        else:
-            yield source
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(source, exc) from None
-
-
-def _not_utf8(source, exc: UnicodeDecodeError) -> InputError:
-    return InputError(f"{source} is not UTF-8 text: {exc.reason}")
-
-
-def _dump_json(doc, dest: str | Path | TextIO) -> None:
-    """Write a JSON document to a path or stream, one-space indented, newline-terminated."""
-    with _text_stream(dest, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def _load_json(path: str | Path, what: str):
-    """Parse a UTF-8 JSON file; malformed JSON is an :class:`InputError` naming ``what``."""
-    with _text_stream(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{what} is not valid JSON: {exc}") from None
-
-
-def _write_rows(dest: str | Path | TextIO, header, rows) -> None:
-    """Write a header and rows as comma-delimited UTF-8 text, quoting cells as needed."""
-    with _text_stream(dest, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _gram_correlation(x: np.ndarray, divisor: float) -> np.ndarray:
@@ -384,7 +347,9 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
     """Write a panel as comma-delimited text, the format ``load_panel`` reads.
 
     Values are written with full round-trip precision, so a write/load
-    cycle reproduces the panel bit for bit.
+    cycle reproduces the panel bit for bit. With more than one usable core,
+    a panel of ``SPLIT_VALUES`` values or more has the second half of its
+    rows formatted meanwhile by a helper interpreter, to the same bytes.
     """
     # A float's repr never needs quoting, so only the header and the dates go
     # through csv. Each date is written as the first of two cells, which
@@ -393,12 +358,37 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
     csv.writer(SimpleNamespace(write=prefixes.append), lineterminator="\n").writerows(
         (date, "") for date in panel.dates
     )
-    with _text_stream(dest, "w") as stream:
-        csv.writer(stream, lineterminator="\n").writerow(("date",) + panel.assets)
-        stream.writelines(
-            f"{prefix[:-1]}{','.join(map(repr, row))}\n"
-            for prefix, row in zip(prefixes, panel.values.tolist())
-        )
+    prefixes = [prefix[:-1] for prefix in prefixes]
+    values, half, helper = panel.values, len(prefixes) // 2, None
+    try:
+        if values.size >= SPLIT_VALUES and _usable_cores() > 1 and sys.executable:
+            # subprocess takes ~7 ms to import, which only this path needs.
+            import subprocess
+
+            # The helper's input is all in a file before it starts, so no pipe fills.
+            with suppress(OSError), tempfile.TemporaryFile() as feed:
+                feed.write(json.dumps(prefixes[half:]).encode() + b"\n" + values[half:].tobytes())
+                feed.seek(0)
+                helper = subprocess.Popen(
+                    [sys.executable, "-I", "-S", _rows.__file__],
+                    stdin=feed, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                )
+        with _text_stream(dest, "w") as stream:
+            csv.writer(stream, lineterminator="\n").writerow(("date",) + panel.assets)
+            stream.write(_rows.format_rows(prefixes[:half], values[:half].tolist()))
+            out = helper.stdout.read() if helper else None
+            if helper and helper.wait() == 0:
+                stream.write(out.decode())
+            else:
+                stream.write(_rows.format_rows(prefixes[half:], values[half:].tolist()))
+    finally:
+        if helper:
+            with helper:  # closes its pipe and reaps it
+                helper.kill()
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def standardize(panel: ReturnsPanel) -> StandardizedPanel:

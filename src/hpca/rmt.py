@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import _as_numbers
+from .eigen import _as_numbers, _whole
 from .errors import InputError, NumericalError
 from .panel import ReturnsPanel, StandardizedPanel, _gram_correlation
 
@@ -21,6 +21,7 @@ DEFAULT_GRID_SIZE = 51
 
 def mp_threshold(n: int, t: int) -> float:
     """Upper edge ``(1 + sqrt(n/T))^2`` of the pure-noise spectrum."""
+    n, t = _whole(n, "n"), _whole(t, "t")
     if n < 1 or t < 1:
         raise InputError(f"need n >= 1 and T >= 1, got n={n}, T={t}")
     return float((1.0 + np.sqrt(n / t)) ** 2)
@@ -53,6 +54,7 @@ def mp_density(n: int, t: int, grid_size: int = DEFAULT_GRID_SIZE) -> MpReferenc
     ``gamma = n/T > 1`` (rank-deficient correlation matrices) are rejected.
     """
     hi = mp_threshold(n, t)
+    grid_size = _whole(grid_size, "grid_size")
     if grid_size < 2:
         raise InputError(f"grid size must be at least 2, got {grid_size}")
     gamma = n / t

@@ -17,7 +17,8 @@ import numpy as np
 
 from .eigen import Spectrum, _as_numbers, sym_eig_sorted
 from .errors import InputError
-from .panel import StandardizedPanel, _gram_correlation, _text_stream
+from .panel import StandardizedPanel, _gram_correlation
+from .textio import _text_stream
 
 logger = logging.getLogger(__name__)
 

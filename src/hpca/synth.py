@@ -18,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigen import SYMMETRY_TOL, Spectrum, _as_numbers, _checked_correlation, sym_eig_sorted
+from .eigen import SYMMETRY_TOL, Spectrum, _as_numbers, _checked_correlation, _whole, sym_eig_sorted
 from .errors import InputError
 from .model import assemble_hpca_matrix
-from .panel import ReturnsPanel, _dump_json, _load_json
+from .panel import ReturnsPanel
 from .sectors import SectorPartition, _leading_betas
+from .textio import _dump_json, _load_json
 
 PSD_TOL = -1e-10
 
@@ -48,18 +49,6 @@ def _check_correlation(matrix: np.ndarray, what: str) -> np.ndarray:
     if float(np.linalg.eigvalsh(0.5 * (m + m.T)).min()) < PSD_TOL:
         raise InputError(f"{what} is not positive semi-definite")
     return m
-
-
-def _whole(value, what: str) -> int:
-    """``value`` as an int: an integer, or a float with no fractional part.
-
-    Booleans and everything else are refused, so a size read from JSON as
-    ``2.0`` works and ``2.5``, ``true`` or ``"2"`` do not.
-    """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    raise InputError(f"{what} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -213,7 +202,7 @@ def generate(spec: MarketSpec, seed: int | None = None) -> tuple[ReturnsPanel, M
     panel as its ground truth: ``partition``, ``sector_spectra`` and
     ``population_matrix``.
     """
-    seed = spec.seed if seed is None else seed
+    seed = spec.seed if seed is None else _whole(seed, "seed")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)

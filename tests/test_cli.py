@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -356,6 +357,16 @@ class TestExitCodes:
             "the 3 factor(s) explain the whole panel\n"
         )
 
+    def test_linalg_error_is_numerical_failure(self, simulated, capsys, monkeypatch):
+        def fail(*args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        panel, sectors = simulated
+        rc = main(["compare", "--panel", str(panel), "--sectors", str(sectors)])
+        assert rc == 2
+        assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"
+
     @pytest.mark.parametrize("missing", ["--panel", "--sectors"])
     @pytest.mark.parametrize(
         "command, rest",
@@ -527,3 +538,50 @@ class TestInputFailuresReportCleanly:
             "fit", "--panel", inputs["panel"], "--sectors", inputs["sectors"],
             "--out", tmp_path / "model",
         )
+
+
+def _imports_numpy(*args, cwd=None):
+    """Whether ``python -X importtime ARGS`` imported numpy, and the run."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, cwd=cwd,
+    )
+    return bool(re.search(r"\|\s+numpy$", proc.stderr, flags=re.M)), proc
+
+
+class TestStartsWithoutNumpy:
+    """Commands that do no numeric work never import numpy."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["-c", "import hpca"], 0),
+            (["-c", "import hpca.cli"], 0),
+            (["-m", "hpca", "--version"], 0),
+            (["-m", "hpca", "--help"], 0),
+            (["-m", "hpca", "spectrum", "--help"], 0),
+            (["-m", "hpca", "no-such-command"], 1),
+            (["-m", "hpca", "spectrum"], 1),
+        ],
+        ids=["import", "import-cli", "version", "help", "spectrum-help", "usage-error", "no-model"],
+    )
+    def test_no_numpy(self, args, code):
+        numpy, proc = _imports_numpy(*args)
+        assert proc.returncode == code
+        assert not numpy
+
+    def test_spectrum_of_a_fitted_model(self, tmp_path, simulated, capsys):
+        panel, sectors = simulated
+        model = tmp_path / "model"
+        assert main(["fit", "--panel", str(panel), "--sectors", str(sectors), "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["spectrum", "--model", str(model), "--top", "3"]) == 0
+        numpy, proc = _imports_numpy("-m", "hpca", "spectrum", "--model", str(model), "--top", "3")
+        assert proc.returncode == 0
+        assert not numpy
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_the_probe_sees_numpy(self):
+        numpy, proc = _imports_numpy("-c", "import hpca.panel")
+        assert proc.returncode == 0
+        assert numpy

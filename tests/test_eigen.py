@@ -13,9 +13,9 @@ from hpca.eigen import SYMMETRY_TOL, ZERO_SUM_TOL, sym_eig_sorted
 from hpca.errors import InputError
 from hpca.model import assemble_hpca_matrix, build_factor_cov, eigenportfolio_series, inter_sector_corr
 from hpca.panel import CorrelationMatrix, ReturnsPanel, standardize
-from hpca.rmt import defactor
+from hpca.rmt import defactor, mp_density, mp_threshold
 from hpca.sectors import SectorPartition
-from hpca.synth import MarketSpec, SectorSpec
+from hpca.synth import MarketSpec, SectorSpec, generate
 
 
 def random_symmetric(rng, n):
@@ -201,6 +201,50 @@ class TestOneConversion:
         call, what = ARRAY_ARGUMENTS[argument]
         with pytest.raises(InputError, match=re.escape(f"{what} must be an array of numbers")):
             call(BAD_ARRAYS[bad])
+
+
+_SPEC = MarketSpec((SectorSpec("a", 2, 0.3),), np.eye(1), n_periods=5)
+
+# Every integer argument a caller can pass in, with valid values for the
+# other arguments, and the name that its errors give it.
+WHOLE_ARGUMENTS = {
+    "mp_threshold.n": (lambda v: mp_threshold(v, 100), "n"),
+    "mp_threshold.t": (lambda v: mp_threshold(10, v), "t"),
+    "mp_density.n": (lambda v: mp_density(v, 100), "n"),
+    "mp_density.t": (lambda v: mp_density(10, v), "t"),
+    "mp_density.grid_size": (lambda v: mp_density(10, 100, grid_size=v), "grid_size"),
+    "generate.seed": (lambda v: generate(_SPEC, seed=v), "seed"),
+    "eigenportfolio_series.count": (
+        lambda v: eigenportfolio_series([[1.0], [-1.0]], [1.0], _EYE, v), "count"
+    ),
+}
+
+
+class TestWholeNumbers:
+    # None is left out where it is the default: generate's seed is then the spec's.
+    @pytest.mark.parametrize(
+        "argument, bad",
+        [
+            (argument, bad)
+            for argument in WHOLE_ARGUMENTS
+            for bad in ("10", 1.5, None)
+            if (argument, bad) != ("generate.seed", None)
+        ],
+    )
+    def test_non_integer_rejected_by_name(self, argument, bad):
+        call, what = WHOLE_ARGUMENTS[argument]
+        with pytest.raises(InputError, match=re.escape(f"{what} must be a whole number, got {bad!r}")):
+            call(bad)
+
+    def test_python_and_numpy_integers_pass(self):
+        assert mp_threshold(np.int64(10), np.int32(100)) == mp_threshold(10, 100)
+        ref, np_ref = mp_density(10, 100, 5), mp_density(np.uint8(10), 100, grid_size=np.int16(5))
+        assert ref.grid.tobytes() == np_ref.grid.tobytes()
+        panel, _ = generate(_SPEC, seed=np.uint64(3))
+        assert panel.values.tobytes() == generate(_SPEC, seed=3)[0].values.tobytes()
+        np.testing.assert_array_equal(
+            eigenportfolio_series([[1.0], [-1.0]], [1.0], _EYE, np.int64(1)), [[1.0], [-1.0]]
+        )
 
 
 class TestInvariants:

@@ -606,6 +606,29 @@ class TestInputErrors:
         with pytest.raises(error, match=re.escape(message)):
             eigenportfolio_series(values, np.array(eigenvalues), np.eye(3), count)
 
+    @pytest.mark.parametrize(
+        "values, eigenvalues, eigenvectors, message",
+        [
+            (
+                [[1.0, 0.0], [-1.0, 1.0]], [1.0], np.eye(2),
+                "eigenvalues must be 1-d with at least 2 values, got shape (1,)",
+            ),
+            ([1.0, -1.0], [1.0, 1.0], np.eye(2), "panel values must be 2-d, got shape (2,)"),
+            (
+                [[1.0, 0.0], [-1.0, 1.0]], [1.0, 1.0], [1.0, 0.0],
+                "eigenvectors must be 2 x at least 2, got shape (2,)",
+            ),
+            (
+                [[1.0, 0.0], [-1.0, 1.0]], [1.0, 1.0], np.eye(3),
+                "eigenvectors must be 2 x at least 2, got shape (3, 3)",
+            ),
+        ],
+        ids=["too-few-eigenvalues", "one-dimensional-values", "one-dimensional-vectors", "row-count"],
+    )
+    def test_eigenportfolio_series_shapes(self, values, eigenvalues, eigenvectors, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            eigenportfolio_series(values, eigenvalues, eigenvectors, 2)
+
 
 class TestExport:
     def test_model_roundtrip(self, tmp_path):

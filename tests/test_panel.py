@@ -8,6 +8,9 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -467,6 +470,127 @@ class TestPanelCache:
             # With no absolute cache directory, every load parses.
             assert len(cache.parses) == 2
             assert not (tmp_path / "home").exists()
+
+
+def big_panel() -> ReturnsPanel:
+    """A panel just above ``SPLIT_VALUES``, with dates that csv quotes and
+    the values whose ``repr`` is most varied in both halves of its rows."""
+    t, n = 260, 256
+    assert t * n >= panel_module.SPLIT_VALUES
+    special = ("a,b", 'Q1, "early" 2020', "é", "", "NA")
+    dates = tuple(special[i % 5] if i % 3 == 0 else f"2020-{i:03d}" for i in range(t))
+    values = np.random.default_rng(31).standard_normal((t, n)) * 10.0 ** (np.arange(n) % 16 - 8)
+    for row in (0, t // 2 - 1, t // 2, t - 1):
+        values[row, :5] = [-0.0, 5e-324, 1e-05, 0.1, 1e16]
+    return ReturnsPanel(dates, tuple(f"A{j}" for j in range(n)), values)
+
+
+def reference_text(panel: ReturnsPanel) -> str:
+    """The panel's text, built row by row."""
+    def quoted(cell):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow([cell, ""])
+        return out.getvalue()[:-2]
+
+    lines = [",".join(map(quoted, ("date",) + panel.assets))]
+    lines += [
+        f"{quoted(date)},{','.join(map(repr, row))}"
+        for date, row in zip(panel.dates, panel.values.tolist())
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture()
+def started(monkeypatch):
+    """Every process started during the test, through a recording ``Popen``;
+    the host counts as having two usable cores."""
+    procs = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    monkeypatch.setattr(panel_module, "_usable_cores", lambda: 2)
+    return procs
+
+
+def finishes(call, seconds=60):
+    """``call()``'s exception or None, failing if it runs longer than ``seconds``."""
+    outcome = []
+
+    def run():
+        try:
+            call()
+            outcome.append(None)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert outcome, f"did not finish within {seconds} s"
+    return outcome[0]
+
+
+class TestTwoCoreWrite:
+    """A large panel is written half by a helper interpreter, byte for byte
+    as one process would."""
+
+    def test_bytes_match_the_row_by_row_reference(self, tmp_path, started):
+        panel = big_panel()
+        path = tmp_path / "panel.csv"
+        write_panel(panel, path)
+        assert path.read_bytes() == reference_text(panel).encode()
+        assert [proc.returncode for proc in started] == [0]
+        assert_same_panel(load_panel(path), panel)
+
+    def test_small_panel_is_written_in_process(self, started):
+        panel = make_panel(np.ones((4, 3)))
+        write_panel(panel, io.StringIO())
+        assert started == []
+
+    def test_usable_cores_are_those_this_process_may_run_on(self):
+        expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert panel_module._usable_cores() == expected
+
+    @pytest.mark.parametrize("executable", ["missing", ""])
+    def test_unstartable_helper_gives_the_same_bytes(
+        self, tmp_path, started, monkeypatch, executable
+    ):
+        monkeypatch.setattr(sys, "executable", executable and str(tmp_path / executable))
+        panel = big_panel()
+        buf = io.StringIO()
+        write_panel(panel, buf)
+        assert buf.getvalue() == reference_text(panel)
+        assert started == []
+
+    def test_failing_helper_gives_the_same_bytes(self, tmp_path, started, monkeypatch):
+        monkeypatch.setattr(panel_module._rows, "__file__", str(tmp_path / "missing.py"))
+        panel = big_panel()
+        buf = io.StringIO()
+        write_panel(panel, buf)
+        assert buf.getvalue() == reference_text(panel)
+        assert len(started) == 1
+        assert started[0].returncode not in (0, None)
+
+    @pytest.mark.parametrize("failing_write", [0, 1, 2], ids=["header", "first-half", "second-half"])
+    def test_failing_destination_reaps_the_helper(self, started, failing_write):
+        error = OSError("disk full")
+
+        class Failing(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > failing_write:
+                    raise error
+                return super().write(text)
+
+        assert finishes(lambda: write_panel(big_panel(), Failing())) is error
+        assert len(started) == 1
+        assert started[0].returncode is not None
 
 
 class TestStandardize:
