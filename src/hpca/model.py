@@ -30,26 +30,14 @@ SECTOR = "sector"
 VECTORS_FILENAME = "eigenvectors.csv"
 
 
-def inter_sector_corr(factors: np.ndarray) -> np.ndarray:
-    """Empirical correlation matrix of the sector factor series.
-
-    Args:
-        factors: T x b matrix, one unit-variance factor series per column.
-
-    Returns:
-        b x b symmetric correlation matrix with an exact unit diagonal.
-    """
-    f = _as_numbers(factors, "factor matrix")
-    if f.ndim != 2 or f.shape[0] < 2:
-        raise InputError(f"factor matrix must be T x b with T >= 2, got {f.shape}")
-    centered = f - f.mean(axis=0)
+def _inter_sector_corr(factors: np.ndarray) -> np.ndarray:
+    """The b x b correlation of T x b unit-variance sector factors, exactly 1 on the diagonal."""
+    centered = factors - factors.mean(axis=0)
     norms = np.sqrt((centered * centered).sum(axis=0))
-    if (norms <= 0.0).any():
-        raise NumericalError("zero-variance factor series")
     return _gram_correlation(centered / norms, 1.0)
 
 
-def assemble_hpca_matrix(
+def _assemble_hpca_matrix(
     partition: SectorPartition,
     block_correlations: Sequence[np.ndarray],
     block_betas: Sequence[np.ndarray],
@@ -61,29 +49,14 @@ def assemble_hpca_matrix(
     cross-sector entries are ``beta_i * beta_j * factor_corr[k, l]``.
     """
     b = partition.n_sectors
-    if len(block_correlations) != b or len(block_betas) != b:
-        raise InputError("need one correlation block and one beta vector per sector")
-    factor_corr = _as_numbers(factor_corr, "factor correlation")
-    if factor_corr.shape != (b, b):
-        raise InputError(
-            f"factor correlation must be {b} x {b}, got {factor_corr.shape}"
-        )
-    n = partition.n_assets
-    beta = np.empty(n)
+    beta = np.empty(partition.n_assets)
     for k in range(b):
-        members = partition.members(k)
-        sector_beta = _as_numbers(block_betas[k], f"beta vector for sector {k}")
-        if sector_beta.shape != (members.size,):
-            raise InputError(f"beta vector for sector {k} has the wrong length")
-        beta[members] = sector_beta
+        beta[partition.members(k)] = block_betas[k]
     sec = partition.assignment
     matrix = np.outer(beta, beta) * factor_corr[np.ix_(sec, sec)]
     for k in range(b):
         members = partition.members(k)
-        block = _as_numbers(block_correlations[k], f"correlation block for sector {k}")
-        if block.shape != (members.size, members.size):
-            raise InputError(f"correlation block for sector {k} has the wrong shape")
-        matrix[np.ix_(members, members)] = block
+        matrix[np.ix_(members, members)] = block_correlations[k]
     return matrix
 
 
@@ -101,24 +74,14 @@ class FactorCovariance(Spectrum):
     values: np.ndarray
 
 
-def build_factor_cov(
-    leading_eigenvalues: Sequence[float] | np.ndarray, factor_corr: np.ndarray
-) -> FactorCovariance:
+def _build_factor_cov(lam1: Sequence[float], factor_corr: np.ndarray) -> FactorCovariance:
     """Build the scaled-factor covariance matrix and decompose it."""
-    lam1 = _as_numbers(leading_eigenvalues, "leading eigenvalues")
-    factor_corr = _as_numbers(factor_corr, "factor correlation")
-    if lam1.ndim != 1 or factor_corr.shape != (lam1.size, lam1.size):
-        raise InputError("need one leading eigenvalue per sector")
-    if (lam1 <= 0.0).any():
-        raise NumericalError("non-positive leading sector eigenvalue")
     scale = np.sqrt(lam1)
     values = np.outer(scale, scale) * factor_corr
     np.fill_diagonal(values, lam1)
     spectrum = sym_eig_sorted(values)
     return FactorCovariance(
-        values=values,
-        eigenvalues=spectrum.eigenvalues,
-        eigenvectors=spectrum.eigenvectors,
+        eigenvalues=spectrum.eigenvalues, eigenvectors=spectrum.eigenvectors, values=values
     )
 
 
@@ -155,7 +118,7 @@ class LabeledSpectrum(Spectrum):
     labels: tuple[SpectrumLabel, ...]
 
 
-def assemble_spectrum(
+def _assemble_spectrum(
     partition: SectorPartition,
     sector_spectra: Sequence[Spectrum],
     mixing: Spectrum,
@@ -172,11 +135,6 @@ def assemble_spectrum(
     """
     b = partition.n_sectors
     n = partition.n_assets
-    if len(sector_spectra) != b:
-        raise InputError("need one spectrum per sector")
-    if mixing.size != b:
-        raise InputError("factor covariance size does not match sector count")
-
     # Entries 0..b-1 are multi-sector; then each sector's orders 2..s_k. That
     # layout is already the tie order, so a stable sort keeps it on ties.
     sizes = partition.sizes
@@ -226,7 +184,7 @@ class HpcaModel:
     @property
     def matrix(self) -> np.ndarray:
         """The dense n x n hierarchical matrix, assembled anew on each access."""
-        return assemble_hpca_matrix(
+        return _assemble_hpca_matrix(
             self.partition,
             [m.correlation for m in self.sector_models],
             [m.betas for m in self.sector_models],
@@ -235,16 +193,20 @@ class HpcaModel:
 
 
 def fit_hpca(panel: StandardizedPanel, partition: SectorPartition) -> HpcaModel:
-    """Fit the full hierarchical model on a standardized panel."""
+    """Fit the full hierarchical model on a standardized panel.
+
+    This is the one way in: the private steps it calls take only parts built
+    from the checked panel and partition, so they check nothing again.
+    """
     models = fit_all_sectors(panel, partition)
-    rho = inter_sector_corr(np.column_stack([m.factor for m in models]))
-    factor_cov = build_factor_cov([m.eigenvalues[0] for m in models], rho)
+    rho = _inter_sector_corr(np.column_stack([m.factor for m in models]))
+    factor_cov = _build_factor_cov([m.eigenvalues[0] for m in models], rho)
     return HpcaModel(
         partition=partition,
         sector_models=models,
         factor_corr=rho,
         factor_cov=factor_cov,
-        spectrum=assemble_spectrum(partition, models, factor_cov, panel.assets),
+        spectrum=_assemble_spectrum(partition, models, factor_cov, panel.assets),
     )
 
 

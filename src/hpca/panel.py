@@ -23,7 +23,7 @@ from typing import TextIO
 import numpy as np
 
 from . import _rows
-from .eigen import _as_numbers, _asymmetry, _checked_correlation
+from .eigen import _as_numbers, _asymmetry, _checked_correlation, _whole
 from .errors import InputError
 from .textio import _not_utf8, _text_stream
 
@@ -68,6 +68,9 @@ class ReturnsPanel:
             raise InputError(f"duplicate asset names: {', '.join(dupes)}")
         if not np.isfinite(self.values).all():
             raise InputError("panel contains missing or non-finite values")
+        self.dropped_rows = _whole(self.dropped_rows, "dropped_rows")
+        if self.dropped_rows < 0:
+            raise InputError(f"dropped_rows must be non-negative, got {self.dropped_rows}")
 
     @classmethod
     def _derived(cls, source: ReturnsPanel, values: np.ndarray, **fields):
@@ -210,8 +213,9 @@ def _parse_panel(stream: TextIO) -> ReturnsPanel:
 def _read_entry(entry: Path) -> ReturnsPanel | None:
     """The panel stored in cache file ``entry``.
 
-    A missing, unreadable or foreign entry, or one without exactly a value
-    for each date and asset, gives None.
+    A missing, unreadable or foreign entry, one whose dates or assets are
+    not all strings, or one without exactly a value for each date and asset,
+    gives None.
     """
     try:
         with open(entry, "rb") as fh:
@@ -219,6 +223,8 @@ def _read_entry(entry: Path) -> ReturnsPanel | None:
             if head["format"] != CACHE_FORMAT:
                 return None
             dates, assets = tuple(head["dates"]), tuple(head["assets"])
+            if not all(isinstance(label, str) for label in dates + assets):
+                return None
             values = np.empty((len(dates), len(assets)), dtype="<f8")
             if fh.readinto(values) != values.nbytes or fh.read(1):
                 return None

@@ -87,7 +87,7 @@ def build_comparison(
     pv, hv = pca.vectors(top_k), hpca.vectors(top_k)
     spectra = (("plain", pca, pv), ("hierarchical", hpca, hv))
     for name, spectrum, vectors in spectra:
-        length = spectrum.eigenvectors.shape[0]
+        length = vectors.shape[0]
         if length != n:
             raise InputError(
                 f"{name} eigenvectors have {length} entries for {n} assets"

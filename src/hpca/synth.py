@@ -20,7 +20,7 @@ import numpy as np
 
 from .eigen import SYMMETRY_TOL, Spectrum, _as_numbers, _checked_correlation, _whole, sym_eig_sorted
 from .errors import InputError
-from .model import assemble_hpca_matrix
+from .model import _assemble_hpca_matrix
 from .panel import ReturnsPanel
 from .sectors import SectorPartition, _leading_betas
 from .textio import _dump_json, _load_json
@@ -150,7 +150,7 @@ class MarketSpec:
     @property
     def population_matrix(self) -> np.ndarray:
         """The dense n x n hierarchical matrix, assembled anew on each access."""
-        return assemble_hpca_matrix(
+        return _assemble_hpca_matrix(
             self.partition,
             [s.block_correlation() for s in self.sectors],
             [_leading_betas(sp) for sp in self.sector_spectra],

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from hpca.eigen import SYMMETRY_TOL, ZERO_SUM_TOL, sym_eig_sorted
 from hpca.errors import InputError
-from hpca.model import assemble_hpca_matrix, build_factor_cov, eigenportfolio_series, inter_sector_corr
+from hpca.model import eigenportfolio_series
 from hpca.panel import CorrelationMatrix, ReturnsPanel, standardize
 from hpca.rmt import defactor, mp_density, mp_threshold
 from hpca.sectors import SectorPartition
@@ -147,7 +147,6 @@ class TestOneCheck:
             ENTRY_POINTS[entry][0](matrix)
 
 
-_PARTITION = SectorPartition(("a", "b"), [0, 1])
 _EYE = np.eye(1)
 _STANDARDIZED = standardize(ReturnsPanel(("d1", "d2", "d3"), ("a",), [[1.0], [2.0], [4.0]]))
 
@@ -157,23 +156,6 @@ ARRAY_ARGUMENTS = {
     **ENTRY_POINTS,
     "ReturnsPanel.values": (lambda v: ReturnsPanel(("d1", "d2"), ("a",), v), "panel values"),
     "SectorPartition.assignment": (lambda a: SectorPartition(("a",), a), "sector assignment"),
-    "inter_sector_corr": (inter_sector_corr, "factor matrix"),
-    "assemble_hpca_matrix.factor_corr": (
-        lambda f: assemble_hpca_matrix(_PARTITION, [_EYE, _EYE], [np.ones(1)] * 2, f),
-        "factor correlation",
-    ),
-    "assemble_hpca_matrix.block_betas": (
-        lambda b: assemble_hpca_matrix(_PARTITION, [_EYE, _EYE], [b, np.ones(1)], np.eye(2)),
-        "beta vector for sector 0",
-    ),
-    "assemble_hpca_matrix.block_correlations": (
-        lambda c: assemble_hpca_matrix(_PARTITION, [_EYE, c], [np.ones(1)] * 2, np.eye(2)),
-        "correlation block for sector 1",
-    ),
-    "build_factor_cov.leading_eigenvalues": (
-        lambda lam: build_factor_cov(lam, np.eye(2)), "leading eigenvalues"
-    ),
-    "build_factor_cov.factor_corr": (lambda f: build_factor_cov([1.0, 2.0], f), "factor correlation"),
     "eigenportfolio_series.values": (
         lambda v: eigenportfolio_series(v, [1.0], _EYE, 1), "panel values"
     ),

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from hpca.eigen import Spectrum, sym_eig_sorted
@@ -14,12 +16,12 @@ from hpca.errors import InputError, NumericalError
 from hpca.model import (
     MULTI_SECTOR,
     SECTOR,
-    assemble_hpca_matrix,
-    assemble_spectrum,
-    build_factor_cov,
+    _assemble_hpca_matrix,
+    _assemble_spectrum,
+    _build_factor_cov,
+    _inter_sector_corr,
     eigenportfolio_series,
     fit_hpca,
-    inter_sector_corr,
     load_model_dict,
     save_model,
 )
@@ -54,21 +56,95 @@ def tied_parts():
     """Identity blocks and uncorrelated factors: every eigenvalue is 1."""
     partition = SectorPartition(labels=("p", "q"), assignment=np.array([0, 1, 1]))
     spectra = [sym_eig_sorted(np.eye(1)), sym_eig_sorted(np.eye(2))]
-    return partition, spectra, build_factor_cov([1.0, 1.0], np.eye(2))
+    return partition, spectra, _build_factor_cov([1.0, 1.0], np.eye(2))
 
 
 def tied_spectrum():
-    return assemble_spectrum(*tied_parts(), ("a", "b", "c"))
+    return _assemble_spectrum(*tied_parts(), ("a", "b", "c"))
+
+
+def _market(sectors, factor_corr, n_periods):
+    return MarketSpec(tuple(sectors), np.array(factor_corr, dtype=float), n_periods, seed=5)
+
+
+# Markets at the edges that ``fit_hpca`` and ``MarketSpec.population_matrix``
+# pass to the closed form with no check of their own: singleton, perfectly
+# and least correlated sectors, sectors wider than T, exactly tied sector
+# spectra and perfectly (anti-)correlated factors.
+EDGE_MARKETS = {
+    "one-sector": _market([SectorSpec("s", 6, equicorrelation=0.4)], [[1.0]], 20),
+    "all-singletons": _market(
+        [SectorSpec(f"s{k}", 1) for k in range(5)],
+        helpers.random_correlation(np.random.default_rng(0), 5),
+        12,
+    ),
+    "perfect-sector": _market(
+        [SectorSpec("p", 4, equicorrelation=1.0), SectorSpec("q", 3, equicorrelation=0.2)],
+        [[1.0, 0.5], [0.5, 1.0]],
+        15,
+    ),
+    "least-correlated-sector": _market(
+        [SectorSpec("n", 4, equicorrelation=-1.0 / 3.0), SectorSpec("m", 2, equicorrelation=0.3)],
+        np.eye(2),
+        25,
+    ),
+    "wider-than-T": _market(
+        [SectorSpec("w", 30, equicorrelation=0.3), SectorSpec("v", 2, equicorrelation=0.6)],
+        [[1.0, 0.4], [0.4, 1.0]],
+        3,
+    ),
+    "two-periods": _market(
+        [
+            SectorSpec("a", 3, equicorrelation=0.5),
+            SectorSpec("b", 1),
+            SectorSpec("c", 2, equicorrelation=0.1),
+        ],
+        np.eye(3),
+        2,
+    ),
+    "identical-factors": _market(
+        [SectorSpec("a", 1), SectorSpec("b", 1), SectorSpec("c", 3, equicorrelation=0.4)],
+        np.ones((3, 3)),
+        10,
+    ),
+    "opposite-factors": _market(
+        [SectorSpec("a", 2, equicorrelation=0.5), SectorSpec("b", 2, equicorrelation=0.5)],
+        [[1.0, -1.0], [-1.0, 1.0]],
+        10,
+    ),
+    "tied-sectors": _market(
+        [SectorSpec(f"t{k}", 3, equicorrelation=0.3) for k in range(3)], np.eye(3), 8
+    ),
+}
+
+
+def population_spectrum(spec):
+    """The closed-form spectrum of ``spec.population_matrix``."""
+    spectra = spec.sector_spectra
+    cov = _build_factor_cov([sp.eigenvalues[0] for sp in spectra], spec.factor_correlation)
+    return _assemble_spectrum(
+        spec.partition, spectra, cov, tuple(f"A{i}" for i in range(spec.n_assets))
+    )
+
+
+def assert_matches_dense(matrix, spectrum):
+    value_err, vector_err, projector_err = helpers.max_spectrum_errors(
+        matrix, spectrum.eigenvalues, spectrum.eigenvectors
+    )
+    scale = max(1.0, float(spectrum.eigenvalues[0]))
+    assert value_err <= 1e-8 * scale
+    assert vector_err <= 1e-6
+    assert projector_err <= 1e-6
 
 
 class TestInterSectorCorr:
     def test_single_factor(self):
         f = np.random.default_rng(0).standard_normal((50, 1))
-        np.testing.assert_array_equal(inter_sector_corr(f), [[1.0]])
+        np.testing.assert_array_equal(_inter_sector_corr(f), [[1.0]])
 
     def test_identical_factors(self):
         f = np.random.default_rng(1).standard_normal(50)
-        rho = inter_sector_corr(np.column_stack([f, f]))
+        rho = _inter_sector_corr(np.column_stack([f, f]))
         np.testing.assert_allclose(rho, [[1.0, 1.0], [1.0, 1.0]], atol=1e-12)
 
     def test_monte_carlo_recovery(self):
@@ -90,7 +166,7 @@ class TestInterSectorCorr:
 
     def test_unit_diagonal_exact(self):
         f = np.random.default_rng(2).standard_normal((30, 4))
-        rho = inter_sector_corr(f)
+        rho = _inter_sector_corr(f)
         assert np.all(np.diag(rho) == 1.0)
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
@@ -116,7 +192,7 @@ class TestBuildMatrix:
 
     def test_four_asset_block_example(self):
         partition, blocks, betas, rho = four_asset_parts()
-        matrix = assemble_hpca_matrix(partition, blocks, betas, rho)
+        matrix = _assemble_hpca_matrix(partition, blocks, betas, rho)
         expected = np.array(
             [
                 [1.0, 1.0, 0.5, 0.5],
@@ -145,18 +221,18 @@ class TestBuildMatrix:
 
 class TestFactorCov:
     def test_single_sector(self):
-        cov = build_factor_cov([1.7], np.array([[1.0]]))
+        cov = _build_factor_cov([1.7], np.array([[1.0]]))
         np.testing.assert_array_equal(cov.values, [[1.7]])
         np.testing.assert_array_equal(cov.eigenvalues, [1.7])
 
     def test_uncorrelated_sectors_diagonal(self):
         lam = [3.0, 2.0, 1.5]
-        cov = build_factor_cov(lam, np.eye(3))
+        cov = _build_factor_cov(lam, np.eye(3))
         np.testing.assert_allclose(cov.values, np.diag(lam), atol=1e-15)
         np.testing.assert_allclose(cov.eigenvalues, sorted(lam, reverse=True))
 
     def test_two_by_two_closed_form(self):
-        cov = build_factor_cov([2.0, 2.0], np.array([[1.0, 0.5], [0.5, 1.0]]))
+        cov = _build_factor_cov([2.0, 2.0], np.array([[1.0, 0.5], [0.5, 1.0]]))
         np.testing.assert_allclose(cov.values, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
         np.testing.assert_allclose(cov.eigenvalues, [3.0, 1.0], atol=1e-12)
         root_half = 1.0 / math.sqrt(2.0)
@@ -167,7 +243,7 @@ class TestFactorCov:
     def test_diagonal_holds_leading_eigenvalues_exactly(self):
         rng = np.random.default_rng(7)
         lam = rng.uniform(1.0, 9.0, 5)
-        cov = build_factor_cov(lam, helpers.random_correlation(rng, 5))
+        cov = _build_factor_cov(lam, helpers.random_correlation(rng, 5))
         assert np.array_equal(np.diag(cov.values), lam)
         assert np.linalg.eigvalsh(cov.values).min() >= -1e-10
 
@@ -187,8 +263,8 @@ class TestSpectrumAssembly:
     def test_four_asset_labels_and_values(self):
         partition, blocks, betas, rho = four_asset_parts()
         spectra = [sym_eig_sorted(block) for block in blocks]
-        cov = build_factor_cov([sp.eigenvalues[0] for sp in spectra], rho)
-        labeled = assemble_spectrum(partition, spectra, cov, ("a", "b", "c", "d"))
+        cov = _build_factor_cov([sp.eigenvalues[0] for sp in spectra], rho)
+        labeled = _assemble_spectrum(partition, spectra, cov, ("a", "b", "c", "d"))
         np.testing.assert_allclose(labeled.eigenvalues, [3.0, 1.0, 0.0, 0.0], atol=1e-12)
         kinds = [lab.kind for lab in labeled.labels]
         assert kinds == [MULTI_SECTOR, MULTI_SECTOR, SECTOR, SECTOR]
@@ -221,10 +297,10 @@ class TestSpectrumAssembly:
             )
             spectra = spec.sector_spectra
             assert spectra[0].eigenvalues.tobytes() == spectra[2].eigenvalues.tobytes()
-            mixing = build_factor_cov([sp.eigenvalues[0] for sp in spectra], np.eye(6))
+            mixing = _build_factor_cov([sp.eigenvalues[0] for sp in spectra], np.eye(6))
             parts = (spec.partition, spectra, mixing)
             assets = tuple(f"A{i}" for i in range(spec.n_assets))
-        labeled = assemble_spectrum(*parts, assets)
+        labeled = _assemble_spectrum(*parts, assets)
         partition, spectra, mixing = parts
         # The reference: by value, then multi-sector first, then by sector and
         # order, as a lexsort over explicit keys.
@@ -314,21 +390,45 @@ class TestSpectrumAssembly:
             assert np.array_equal(sector.betas, rebuilt)
 
 
+class TestClosedFormInvariants:
+    """What ``fit_hpca`` relies on, with no check of its own, for the parts it builds."""
+
+    @settings(database=None, deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_size=st.integers(1, 24),
+        n_periods=st.integers(3, 40),
+    )
+    def test_short_panels(self, seed, max_size, n_periods):
+        # Sectors may be singletons, perfectly correlated or wider than T.
+        spec = helpers.random_market_spec(np.random.default_rng(seed), max_size=max_size)
+        panel, model = helpers.fit_from_spec(dataclasses.replace(spec, n_periods=n_periods))
+        self.assert_invariants(model)
+
+    @pytest.mark.parametrize("name", EDGE_MARKETS)
+    def test_edge_market(self, name):
+        panel, model = helpers.fit_from_spec(EDGE_MARKETS[name])
+        self.assert_invariants(model)
+
+    @staticmethod
+    def assert_invariants(model):
+        lam1 = np.array([m.eigenvalues[0] for m in model.sector_models])
+        # A unit-diagonal block of size s has trace s, so its largest eigenvalue is >= 1.
+        assert lam1.min() >= 1.0 - 1e-12
+        # Each factor is X v1 / sqrt(lam1), of sample variance v1' C v1 / lam1 = 1.
+        for m in model.sector_models:
+            assert abs(m.factor.var(ddof=1) - 1.0) <= 1e-12
+        assert np.all(np.diag(model.factor_corr) == 1.0)
+        assert np.diag(model.factor_cov.values).tobytes() == lam1.tobytes()
+
+
 class TestAnalyticOracle:
     def test_matches_dense_eigensolve_on_fitted_instances(self):
         rng = np.random.default_rng(11)
         for trial in range(40):
             spec = helpers.random_market_spec(rng)
             panel, model = helpers.fit_from_spec(spec)
-            value_err, vector_err, projector_err = helpers.max_spectrum_errors(
-                model.matrix,
-                model.spectrum.eigenvalues,
-                model.spectrum.eigenvectors,
-            )
-            scale = max(1.0, float(model.spectrum.eigenvalues[0]))
-            assert value_err <= 1e-8 * scale
-            assert vector_err <= 1e-6
-            assert projector_err <= 1e-6
+            assert_matches_dense(model.matrix, model.spectrum)
 
     def test_matches_dense_on_population_matrices_with_degeneracies(self):
         # Equicorrelated blocks give exactly repeated eigenvalues, exercising
@@ -336,23 +436,24 @@ class TestAnalyticOracle:
         rng = np.random.default_rng(12)
         for trial in range(15):
             spec = helpers.random_market_spec(rng, max_sectors=4, min_size=3)
-            cov = build_factor_cov(
-                [sp.eigenvalues[0] for sp in spec.sector_spectra],
-                spec.factor_correlation,
-            )
-            labeled = assemble_spectrum(
-                spec.partition,
-                spec.sector_spectra,
-                cov,
-                tuple(f"A{i}" for i in range(spec.n_assets)),
-            )
-            value_err, vector_err, projector_err = helpers.max_spectrum_errors(
-                spec.population_matrix, labeled.eigenvalues, labeled.eigenvectors
-            )
-            scale = max(1.0, float(labeled.eigenvalues[0]))
-            assert value_err <= 1e-8 * scale
-            assert vector_err <= 1e-6
-            assert projector_err <= 1e-6
+            assert_matches_dense(spec.population_matrix, population_spectrum(spec))
+
+    @pytest.mark.parametrize("name", EDGE_MARKETS)
+    def test_edge_market_fit_matches_dense(self, name):
+        panel, model = helpers.fit_from_spec(EDGE_MARKETS[name])
+        matrix = model.matrix
+        assert np.array_equal(matrix, matrix.T)
+        assert np.all(np.diag(matrix) == 1.0)
+        assert_matches_dense(matrix, model.spectrum)
+
+    @pytest.mark.parametrize("name", EDGE_MARKETS)
+    def test_edge_market_population_matches_dense(self, name):
+        spec = EDGE_MARKETS[name]
+        matrix = spec.population_matrix
+        for k, sector in enumerate(spec.sectors):
+            members = spec.partition.members(k)
+            assert np.array_equal(matrix[np.ix_(members, members)], sector.block_correlation())
+        assert_matches_dense(matrix, population_spectrum(spec))
 
     def test_invariant_subspace_of_leading_embeddings(self):
         rng = np.random.default_rng(13)
@@ -527,67 +628,6 @@ class TestEigenportfolioSeries:
 
 class TestInputErrors:
     """Every input check in the model layer raises with its message."""
-
-    @pytest.mark.parametrize(
-        "factors, error, message",
-        [
-            (np.zeros(3), InputError, "factor matrix must be T x b with T >= 2, got (3,)"),
-            (np.zeros((1, 2)), InputError, "factor matrix must be T x b with T >= 2, got (1, 2)"),
-            ([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]], NumericalError, "zero-variance factor series"),
-        ],
-        ids=["one-dimensional", "one-period", "constant-factor"],
-    )
-    def test_inter_sector_corr(self, factors, error, message):
-        with pytest.raises(error, match=re.escape(message)):
-            inter_sector_corr(factors)
-
-    @pytest.mark.parametrize(
-        "spoil, message",
-        [
-            (lambda p: p[1].pop(), "need one correlation block and one beta vector per sector"),
-            (lambda p: p[2].pop(), "need one correlation block and one beta vector per sector"),
-            (lambda p: p.__setitem__(3, np.eye(3)), "factor correlation must be 2 x 2, got (3, 3)"),
-            (lambda p: p[2].__setitem__(1, np.ones(3)), "beta vector for sector 1 has the wrong length"),
-            (lambda p: p[1].__setitem__(0, np.eye(3)), "correlation block for sector 0 has the wrong shape"),
-        ],
-        ids=["blocks", "betas", "factor-corr", "beta-length", "block-shape"],
-    )
-    def test_assemble_hpca_matrix(self, spoil, message):
-        parts = list(four_asset_parts())
-        spoil(parts)
-        with pytest.raises(InputError, match=re.escape(message)):
-            assemble_hpca_matrix(*parts)
-
-    @pytest.mark.parametrize(
-        "leading, error, message",
-        [
-            ([1.0, 1.0, 1.0], InputError, "need one leading eigenvalue per sector"),
-            ([[1.0, 1.0]], InputError, "need one leading eigenvalue per sector"),
-            ([1.0, 0.0], NumericalError, "non-positive leading sector eigenvalue"),
-        ],
-        ids=["count", "shape", "zero"],
-    )
-    def test_build_factor_cov(self, leading, error, message):
-        with pytest.raises(error, match=re.escape(message)):
-            build_factor_cov(leading, np.eye(2))
-
-    @pytest.mark.parametrize(
-        "spoil, message",
-        [
-            (lambda p: p[1].pop(), "need one spectrum per sector"),
-            (
-                lambda p: p.__setitem__(2, build_factor_cov([1.0], np.eye(1))),
-                "factor covariance size does not match sector count",
-            ),
-        ],
-        ids=["spectra", "mixing"],
-    )
-    def test_assemble_spectrum(self, spoil, message):
-        partition, spectra, mixing = tied_parts()
-        parts = [partition, list(spectra), mixing]
-        spoil(parts)
-        with pytest.raises(InputError, match=re.escape(message)):
-            assemble_spectrum(*parts, ("a", "b", "c"))
 
     @pytest.mark.parametrize(
         "eigenvalues, count, error, message",

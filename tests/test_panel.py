@@ -402,6 +402,43 @@ class TestPanelCache:
         assert len(cache.parses) == 2
         assert entry.read_bytes() == good
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b'"dropped_rows": 0', b'"dropped_rows": -5'),
+            (b'"dropped_rows": 0', b'"dropped_rows": "lots"'),
+            (b'"dates": ["d1", "d2", "d3"]', b'"dates": [1, 2, 3]'),
+            (b'"assets": ["A", "B"]', b'"assets": [1, 2]'),
+            (b'"dropped_rows": 0', b'"dropped_rows": 1.5'),
+            (b'"dropped_rows": 0', b'"dropped_rows": null'),
+            (b'"dates": ["d1", "d2", "d3"]', b'"dates": ["d1", null, "d3"]'),
+            (b'"assets": ["A", "B"]', b'"assets": [["A"], "B"]'),
+        ],
+        ids=[
+            "negative-dropped-rows",
+            "text-dropped-rows",
+            "integer-dates",
+            "integer-assets",
+            "fractional-dropped-rows",
+            "null-dropped-rows",
+            "null-date",
+            "list-asset",
+        ],
+    )
+    def test_entry_with_bad_labels_or_count_is_a_miss(self, cache, tmp_path, old, new):
+        path = tmp_path / "panel.csv"
+        path.write_text("date,A,B\nd1,0.25,1\nd2,2,3\nd3,4,5\n")
+        parsed = load_panel(path)
+        (entry,) = cache.dir.iterdir()
+        good = entry.read_bytes()
+        assert old in good
+        entry.write_bytes(good.replace(old, new, 1))
+        got = load_panel(path)
+        assert_same_panel(got, parsed)
+        assert got.dropped_rows == 0
+        assert len(cache.parses) == 2
+        assert entry.read_bytes() == good
+
     @pytest.mark.parametrize("blocked", ["cache-home-is-a-file", "entry-is-a-directory"])
     def test_unwritable_cache_still_loads(self, cache, tmp_path, monkeypatch, blocked):
         path = tmp_path / "panel.csv"
@@ -805,6 +842,21 @@ class TestReturnsPanelValidation:
     def test_rejects_malformed_panel(self, dates, assets, values, message):
         with pytest.raises(InputError, match=re.escape(message)):
             ReturnsPanel(dates=dates, assets=assets, values=values)
+
+    @pytest.mark.parametrize(
+        "dropped, message",
+        [
+            (-3, "dropped_rows must be non-negative, got -3"),
+            ("lots", "dropped_rows must be a whole number, got 'lots'"),
+            (1.5, "dropped_rows must be a whole number, got 1.5"),
+            (None, "dropped_rows must be a whole number, got None"),
+            (True, "dropped_rows must be a whole number, got True"),
+        ],
+        ids=["negative", "text", "fractional", "none", "boolean"],
+    )
+    def test_rejects_bad_dropped_rows(self, dropped, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            ReturnsPanel(("d1", "d2"), ("A",), [[1.0], [2.0]], dropped_rows=dropped)
 
     def test_write_panel_matches_csv_writer(self):
         # Dates that need quoting or look like a missing cell, each in a row
