@@ -40,6 +40,7 @@ class Spectrum:
 
     def vectors(self, count: int) -> np.ndarray:
         """The top ``count`` eigenvectors as the columns of an n x count array."""
+        count = _whole(count, "eigenvector count")
         if count < 0:
             raise InputError(f"eigenvector count must be non-negative, got {count}")
         return self.eigenvectors[:, :count]

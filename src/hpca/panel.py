@@ -30,8 +30,6 @@ from .textio import _not_utf8, _text_stream
 # Cell contents treated as a missing observation (case-insensitive).
 MISSING_TOKENS = frozenset({"", "na", "nan", "null", "n/a"})
 
-STANDARDIZE_TOL = 1e-12
-
 # Tag on the first line of a panel cache entry; an entry without it is a miss.
 CACHE_FORMAT = "hpca-panel-2"
 
@@ -42,7 +40,7 @@ SPLIT_VALUES = 2**16
 
 @dataclass
 class ReturnsPanel:
-    """Complete return panel: T dates, n assets, no missing values."""
+    """Complete return panel: T dates and n assets, tuples of text, and no missing values."""
 
     dates: tuple[str, ...]
     assets: tuple[str, ...]
@@ -50,6 +48,9 @@ class ReturnsPanel:
     dropped_rows: int = 0
 
     def __post_init__(self) -> None:
+        self.dates, self.assets = tuple(self.dates), tuple(self.assets)
+        if not all(isinstance(label, str) for label in self.dates + self.assets):
+            raise InputError("dates and asset names must be text")
         self.values = _as_numbers(self.values, "panel values")
         if self.values.ndim != 2:
             raise InputError(f"panel values must be 2-d, got {self.values.ndim}-d")
@@ -88,24 +89,28 @@ class ReturnsPanel:
 
 @dataclass
 class StandardizedPanel(ReturnsPanel):
-    """Panel whose columns each have sample mean 0 and sample stdev 1."""
+    """The panel of the values it is given, each column scaled to sample mean 0
+    and sample stdev 1 (divisor T-1); the given array is not changed.
+
+    Raises:
+        InputError: a column whose stdev is not finite, or at most 1e-12 of
+            the larger of 1 and its largest magnitude, reported by asset name.
+    """
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        v = self.values
-        means = v.mean(axis=0)
-        if np.abs(means).max() > STANDARDIZE_TOL:
-            raise InputError(
-                f"column means not zero: max |mean| = {np.abs(means).max():g}"
-            )
-        # With every mean that small, the root mean square about 0 equals the
-        # stdev to far below the tolerance, and einsum takes it in one pass
-        # with no T x n temporary.
-        stds = np.sqrt(np.einsum("ij,ij->j", v, v) / (self.n_periods - 1))
-        if np.abs(stds - 1.0).max() > STANDARDIZE_TOL:
-            raise InputError(
-                f"column stdevs not one: max |stdev - 1| = {np.abs(stds - 1.0).max():g}"
-            )
+        values = self.values
+        centered = values - values.mean(axis=0)
+        # The same bits as ``values.std(axis=0, ddof=1)``, which would center
+        # the panel a second time; einsum needs no T x n temporary.
+        stds = np.sqrt(np.einsum("ij,ij->j", centered, centered) / (self.n_periods - 1))
+        scale = np.maximum(1.0, np.maximum(values.max(axis=0), -values.min(axis=0)))
+        degenerate = np.flatnonzero(~np.isfinite(stds) | (stds <= 1e-12 * scale))
+        if degenerate.size:
+            names = ", ".join(self.assets[i] for i in degenerate)
+            raise InputError(f"constant or overflowing column(s) cannot be standardized: {names}")
+        centered /= stds
+        self.values = centered
 
 
 @dataclass
@@ -213,18 +218,16 @@ def _parse_panel(stream: TextIO) -> ReturnsPanel:
 def _read_entry(entry: Path) -> ReturnsPanel | None:
     """The panel stored in cache file ``entry``.
 
-    A missing, unreadable or foreign entry, one whose dates or assets are
-    not all strings, or one without exactly a value for each date and asset,
-    gives None.
+    A missing, unreadable or foreign entry, one without exactly a value for
+    each date and asset, or one whose labels or count ``ReturnsPanel``
+    refuses, gives None.
     """
     try:
         with open(entry, "rb") as fh:
             head = json.loads(fh.readline())
             if head["format"] != CACHE_FORMAT:
                 return None
-            dates, assets = tuple(head["dates"]), tuple(head["assets"])
-            if not all(isinstance(label, str) for label in dates + assets):
-                return None
+            dates, assets = head["dates"], head["assets"]
             values = np.empty((len(dates), len(assets)), dtype="<f8")
             if fh.readinto(values) != values.nbytes or fh.read(1):
                 return None
@@ -398,24 +401,8 @@ def _usable_cores() -> int:
 
 
 def standardize(panel: ReturnsPanel) -> StandardizedPanel:
-    """Scale each column to sample mean 0 and sample stdev 1 (divisor T-1).
-
-    Raises:
-        InputError: a column with zero sample standard deviation, reported
-            by asset name.
-    """
-    values = panel.values
-    centered = values - values.mean(axis=0)
-    # The same bits as ``values.std(axis=0, ddof=1)``, which would center
-    # the panel a second time; einsum needs no T x n temporary.
-    stds = np.sqrt(np.einsum("ij,ij->j", centered, centered) / (panel.n_periods - 1))
-    scale = np.maximum(1.0, np.maximum(values.max(axis=0), -values.min(axis=0)))
-    degenerate = np.flatnonzero(stds <= 1e-12 * scale)
-    if degenerate.size:
-        names = ", ".join(panel.assets[i] for i in degenerate)
-        raise InputError(f"constant column(s) cannot be standardized: {names}")
-    centered /= stds
-    return StandardizedPanel._derived(panel, centered)
+    """The ``StandardizedPanel`` of ``panel``'s values, labels and dropped-row count."""
+    return StandardizedPanel._derived(panel, panel.values)
 
 
 def correlation(panel: StandardizedPanel) -> CorrelationMatrix:

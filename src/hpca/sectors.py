@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .eigen import Spectrum, _as_numbers, sym_eig_sorted
+from .eigen import Spectrum, _as_numbers, _whole, sym_eig_sorted
 from .errors import InputError
 from .panel import StandardizedPanel, _gram_correlation
 from .textio import _text_stream
@@ -165,6 +165,7 @@ def fit_sector(
         raise InputError(
             f"partition covers {partition.n_assets} assets, panel has {panel.n_assets}"
         )
+    k = _whole(k, "sector index")
     if not 0 <= k < partition.n_sectors:
         raise InputError(f"sector index {k} out of range")
     members = partition.members(k)

@@ -55,8 +55,8 @@ def _check_correlation(matrix: np.ndarray, what: str) -> np.ndarray:
 class SectorSpec:
     """One sector's size and intra-block correlation structure, checked when built.
 
-    A full ``correlation`` matrix takes precedence over ``equicorrelation``,
-    the one off-diagonal level, which defaults to 0 (an identity block).
+    A sector gives a full ``correlation`` matrix or ``equicorrelation``, the
+    one off-diagonal level, not both; with neither it is an identity block.
     """
 
     name: str
@@ -75,6 +75,8 @@ class SectorSpec:
             raise InputError(
                 f"sector {self.name!r} equicorrelation must be a finite real number, got {rho!r}"
             )
+        if self.correlation is not None and rho is not None:
+            raise InputError(f"sector {self.name!r} gives both equicorrelation and correlation")
         if self.correlation is not None:
             m = _check_correlation(self.correlation, f"sector {self.name!r} correlation")
             if m.shape != (self.size, self.size):

@@ -116,6 +116,21 @@ class TestFitAndSpectrum:
         assert lines[0] == "asset," + ",".join(f"EV{r}" for r in range(1, 7))
         assert len(lines) == 7
 
+    def test_fit_of_a_shifted_panel(self, tmp_path, simulated):
+        panel, sectors = simulated
+        shifted = tmp_path / "shifted.csv"
+        loaded = panel_module.load_panel(panel)
+        panel_module.write_panel(
+            panel_module.ReturnsPanel(loaded.dates, loaded.assets, loaded.values + 1e4), shifted
+        )
+        fits = []
+        for source in (panel, shifted):
+            out = tmp_path / source.stem
+            assert main(["fit", "--panel", str(source), "--sectors", str(sectors), "--out", str(out)]) == 0
+            fits.append(json.loads((out / "model.json").read_text())["spectrum"])
+        base, got = ([entry["eigenvalue"] for entry in fit] for fit in fits)
+        assert np.abs(np.subtract(got, base)).max() <= 1e-12 * base[0]
+
     def test_spectrum_table(self, tmp_path, simulated, capsys):
         panel, sectors = simulated
         out = tmp_path / "model"

@@ -67,6 +67,12 @@ class TestErrors:
         with pytest.raises(InputError, match="non-negative"):
             spec.vectors(-1)
 
+    @pytest.mark.parametrize("count", ["2", None, 1.5, True])
+    def test_vector_count_must_be_whole(self, count):
+        message = f"eigenvector count must be a whole number, got {count!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            sym_eig_sorted(np.eye(3)).vectors(count)
+
     def test_non_finite(self):
         a = np.eye(3)
         a[0, 1] = a[1, 0] = np.inf

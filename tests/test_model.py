@@ -422,6 +422,18 @@ class TestClosedFormInvariants:
         assert np.diag(model.factor_cov.values).tobytes() == lam1.tobytes()
 
 
+class TestShiftedReturns:
+    """Correlations, and so the fit, do not change when a constant is added to each return."""
+
+    @pytest.mark.parametrize("shift", [1e4, 1e6])
+    def test_fit_of_a_shifted_panel_matches_the_unshifted_fit(self, shift):
+        panel, truth = generate(default_market_spec(), seed=1)
+        base = fit_hpca(standardize(panel), truth.partition).spectrum.eigenvalues
+        shifted = ReturnsPanel(panel.dates, panel.assets, panel.values + shift)
+        got = fit_hpca(standardize(shifted), truth.partition).spectrum.eigenvalues
+        assert np.abs(got - base).max() <= 1e-12 * base[0]
+
+
 class TestAnalyticOracle:
     def test_matches_dense_eigensolve_on_fitted_instances(self):
         rng = np.random.default_rng(11)
@@ -689,6 +701,11 @@ class TestExport:
         table = (tmp_path / "eigenvectors.csv").read_text().splitlines()
         assert table[0] == "asset,EV1,EV2"
         assert len(table) == model.n_assets + 1
+
+    def test_fractional_vector_count_rejected(self, tmp_path):
+        panel, model = helpers.fit_from_spec(helpers.market_like_spec(np.random.default_rng(24)))
+        with pytest.raises(InputError, match="eigenvector count must be a whole number, got 1.5"):
+            save_model(model, tmp_path, vectors=1.5)
 
     def test_eigenvector_table_quotes_asset_names(self, tmp_path):
         raw = raw_panel(np.random.default_rng(21).standard_normal((40, 3)))

@@ -693,6 +693,10 @@ class TestStandardize:
         expected = (values - values.mean(axis=0)) / values.std(axis=0, ddof=1)
         std = standardize(make_panel(values))
         assert std.values.tobytes() == expected.tobytes()
+        raw = values.copy()
+        hand_built = StandardizedPanel(std.dates, std.assets, values)
+        assert hand_built.values.tobytes() == expected.tobytes()
+        assert values.tobytes() == raw.tobytes()
 
 
 class TestStandardizedPanelValidation:
@@ -701,19 +705,34 @@ class TestStandardizedPanelValidation:
         assert StandardizedPanel(("d0", "d1"), ("A", "B"), values).n_assets == 2
 
     @pytest.mark.parametrize(
-        "values, message",
+        "spoil",
         [
-            (np.array([[1.0], [-1.0]]) / math.sqrt(2.0) + 1e-9, "column means not zero"),
-            (np.array([[1.0], [-1.0]]), "column stdevs not one"),
-            (np.array([[1.0], [-1.0]]) / math.sqrt(2.0) * (1.0 + 1e-9), "column stdevs not one"),
-            (np.zeros((3, 1)), "column stdevs not one"),
+            lambda column: column * 0.0,
+            # Squares past the float range: the stdev is inf.
+            lambda column: column * 1e160,
+            # A spread of ~1 is below 1e-12 of the column's magnitude.
+            lambda column: column + 1e13,
         ],
-        ids=["mean", "stdev-large", "stdev-near", "zero"],
+        ids=["zero", "overflow", "offset-1e13"],
     )
-    def test_rejects_hand_built_panel_that_is_not_standardized(self, values, message):
-        dates = tuple(f"d{i}" for i in range(values.shape[0]))
-        with pytest.raises(InputError, match=message):
-            StandardizedPanel(dates, ("A",), values)
+    @pytest.mark.parametrize(
+        "build",
+        [StandardizedPanel, lambda *fields: standardize(ReturnsPanel(*fields))],
+        ids=["hand-built", "standardize"],
+    )
+    def test_refuses_a_column_it_cannot_standardize_by_name(self, build, spoil):
+        values = np.random.default_rng(9).standard_normal((6, 2))
+        values[:, 1] = spoil(values[:, 1])
+        dates = tuple(f"d{i}" for i in range(6))
+        with pytest.raises(InputError, match=r"cannot be standardized: BAD$"):
+            build(dates, ("OK", "BAD"), values)
+
+    @pytest.mark.parametrize("t, offset", [(40, 1e4), (1508, 1e6), (50000, 1e10)])
+    def test_standardizes_a_shifted_panel(self, t, offset):
+        # The centering rounds at ~offset * 2^-53, above any fixed tolerance.
+        values = np.random.default_rng(10).standard_normal((t, 2)) + offset
+        expected = (values - values.mean(axis=0)) / values.std(axis=0, ddof=1)
+        assert standardize(make_panel(values)).values.tobytes() == expected.tobytes()
 
 
 class TestCorrelation:
@@ -857,6 +876,22 @@ class TestReturnsPanelValidation:
     def test_rejects_bad_dropped_rows(self, dropped, message):
         with pytest.raises(InputError, match=re.escape(message)):
             ReturnsPanel(("d1", "d2"), ("A",), [[1.0], [2.0]], dropped_rows=dropped)
+
+    @pytest.mark.parametrize(
+        "dates, assets",
+        [((1, 2), ("A", "B")), (("d1", "d2"), (3, None)), (("d1", b"d2"), ("A", "B"))],
+        ids=["integer-dates", "non-text-assets", "bytes-date"],
+    )
+    def test_rejects_labels_that_are_not_text(self, dates, assets):
+        with pytest.raises(InputError, match="dates and asset names must be text"):
+            ReturnsPanel(dates, assets, [[1.0, 2.0], [3.0, 5.0]])
+
+    def test_labels_are_stored_as_tuples(self):
+        panel = ReturnsPanel(["d1", "d2"], iter(["A", "B"]), [[1.0, 2.0], [3.0, 5.0]])
+        assert panel.dates == ("d1", "d2") and panel.assets == ("A", "B")
+        buffer = io.StringIO()
+        write_panel(panel, buffer)
+        assert buffer.getvalue().startswith("date,A,B\nd1,")
 
     def test_write_panel_matches_csv_writer(self):
         # Dates that need quoting or look like a missing cell, each in a row

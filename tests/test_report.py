@@ -111,6 +111,12 @@ class TestBuildComparison:
         with pytest.raises(InputError, match="non-negative"):
             build_comparison(pca, model.spectrum, std.assets, top_k=-1)
 
+    def test_text_top_k_rejected(self):
+        rng = np.random.default_rng(6)
+        std, pca, model = fitted_pair(helpers.random_market_spec(rng, min_size=2))
+        with pytest.raises(InputError, match="eigenvector count must be a whole number, got '3'"):
+            build_comparison(pca, model.spectrum, std.assets, top_k="3")
+
     def test_labels_use_sector_names(self):
         rng = np.random.default_rng(5)
         spec = helpers.market_like_spec(rng)

@@ -115,6 +115,12 @@ class TestFitSectorInputErrors:
         with pytest.raises(InputError, match="partition covers 4 assets, panel has 5"):
             fit(panel, partition_of([2, 2]))
 
+    @pytest.mark.parametrize("k", [True, "0", 1.5, None])
+    def test_rejects_sector_index_that_is_not_whole(self, k):
+        panel = standardize_helper(np.random.default_rng(12), 20, 4)
+        with pytest.raises(InputError, match=re.escape(f"sector index must be a whole number, got {k!r}")):
+            fit_sector(panel, partition_of([2, 2]), k)
+
     @pytest.mark.parametrize("k", [-1, 2])
     def test_rejects_sector_index_out_of_range(self, k):
         panel = standardize_helper(np.random.default_rng(12), 20, 4)

@@ -305,6 +305,17 @@ class TestSpecValidation:
         with pytest.raises(InputError, match=re.escape(message)):
             SectorSpec(name="a", size=size, **fields)
 
+    def test_sector_spec_refuses_both_block_descriptions(self):
+        with pytest.raises(InputError, match="sector 'a' gives both equicorrelation and correlation"):
+            SectorSpec(name="a", size=2, equicorrelation=5.0, correlation=np.eye(2))
+        doc = {
+            "n_periods": 10,
+            "factor_correlation": [[1.0]],
+            "sectors": [{"name": "a", "size": 2, "equicorrelation": 0.5, "correlation": [[1, 0], [0, 1]]}],
+        }
+        with pytest.raises(InputError, match="sector 'a' gives both equicorrelation and correlation"):
+            market_spec_from_dict(doc)
+
     @pytest.mark.parametrize("rho", [0, np.int64(0), np.float32(0.25), Fraction(1, 4)])
     def test_sector_spec_accepts_any_real_equicorrelation(self, rho):
         block = SectorSpec(name="a", size=3, equicorrelation=rho).block_correlation()
