@@ -54,10 +54,13 @@ def _asymmetry(a: np.ndarray) -> float:
     return float(np.abs(diff, out=diff).max())
 
 
-def _as_numbers(value, what: str, dtype=float) -> np.ndarray:
-    """``value`` as a ``dtype`` array; ``InputError`` naming ``what`` if it cannot be read as one."""
+def _as_numbers(value, what: str) -> np.ndarray:
+    """``value`` as a float array; ``InputError`` naming ``what`` unless it holds real numbers."""
     try:
-        return np.asarray(value, dtype)
+        a = np.asarray(value)
+        if a.dtype.kind in "bcSU":
+            raise TypeError(f"{a.dtype} entries")
+        return np.asarray(a, float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be an array of numbers") from exc
 
@@ -73,6 +76,17 @@ def _whole(value, what: str) -> int:
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
     raise InputError(f"{what} must be a whole number, got {value!r}")
+
+
+def _labels(value, what: str) -> tuple[str, ...]:
+    """``value`` as a tuple of text: any iterable of strings but one string."""
+    try:
+        labels = tuple(value)
+    except TypeError:
+        labels = (None,)
+    if isinstance(value, str) or not all(isinstance(label, str) for label in labels):
+        raise InputError(f"{what} must be text: a sequence of strings, not one string")
+    return labels
 
 
 def _checked_symmetric(matrix, what: str, tol: float) -> tuple[np.ndarray, float]:

@@ -292,7 +292,7 @@ def save_model(
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / MODEL_FILENAME
     _dump_json(model_to_dict(model, include_matrix=include_matrix), path)
-    if vectors > 0:
+    if vectors != 0:
         write_eigenvector_table(model.spectrum, directory / VECTORS_FILENAME, vectors)
     return path
 

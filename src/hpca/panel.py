@@ -23,7 +23,7 @@ from typing import TextIO
 import numpy as np
 
 from . import _rows
-from .eigen import _as_numbers, _asymmetry, _checked_correlation, _whole
+from .eigen import _as_numbers, _asymmetry, _checked_correlation, _labels, _whole
 from .errors import InputError
 from .textio import _not_utf8, _text_stream
 
@@ -48,9 +48,8 @@ class ReturnsPanel:
     dropped_rows: int = 0
 
     def __post_init__(self) -> None:
-        self.dates, self.assets = tuple(self.dates), tuple(self.assets)
-        if not all(isinstance(label, str) for label in self.dates + self.assets):
-            raise InputError("dates and asset names must be text")
+        self.dates = _labels(self.dates, "dates and asset names")
+        self.assets = _labels(self.assets, "dates and asset names")
         self.values = _as_numbers(self.values, "panel values")
         if self.values.ndim != 2:
             raise InputError(f"panel values must be 2-d, got {self.values.ndim}-d")

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .eigen import Spectrum, _as_numbers, _whole, sym_eig_sorted
+from .eigen import Spectrum, _as_numbers, _labels, _whole, sym_eig_sorted
 from .errors import InputError
 from .panel import StandardizedPanel, _gram_correlation
 from .textio import _text_stream
@@ -35,9 +35,12 @@ class SectorPartition:
     assignment: np.ndarray
 
     def __post_init__(self) -> None:
-        self.assignment = _as_numbers(self.assignment, "sector assignment", int)
-        if self.assignment.ndim != 1:
+        self.labels = _labels(self.labels, "sector labels")
+        assignment = _as_numbers(self.assignment, "sector assignment")
+        if assignment.ndim != 1:
             raise InputError("sector assignment must be 1-d")
+        whole = [_whole(k, "sector assignment") for k in assignment.tolist()]
+        self.assignment = np.array(whole, dtype=int)
         b = len(self.labels)
         if len(set(self.labels)) != b or b == 0:
             raise InputError("sector labels must be unique and non-empty")
@@ -90,16 +93,9 @@ class SectorPartition:
                 len(unknown),
                 ", ".join(unknown[:10]) + ("..." if len(unknown) > 10 else ""),
             )
-        labels: list[str] = []
         index: dict[str, int] = {}
-        assignment = np.empty(len(assets), dtype=int)
-        for i, asset in enumerate(assets):
-            sector = mapping[asset]
-            if sector not in index:
-                index[sector] = len(labels)
-                labels.append(sector)
-            assignment[i] = index[sector]
-        return cls(labels=tuple(labels), assignment=assignment)
+        assignment = [index.setdefault(mapping[asset], len(index)) for asset in assets]
+        return cls(labels=tuple(index), assignment=assignment)
 
 
 def load_sector_map(source: str | Path | TextIO) -> dict[str, str]:
@@ -149,26 +145,8 @@ class SectorModel(Spectrum):
         return _leading_betas(self)
 
 
-def fit_sector(
-    panel: StandardizedPanel, partition: SectorPartition, k: int
-) -> SectorModel:
-    """Fit the one-factor PCA model of sector ``k``.
-
-    The sector correlation matrix is decomposed with ``sym_eig_sorted``; the
-    factor series is the members' standardized returns combined with the
-    leading eigenvector weights and scaled by ``1/sqrt(lambda_1)`` so its
-    sample variance is 1.
-    """
-    if not isinstance(panel, StandardizedPanel):
-        raise InputError("fit_sector expects a standardized panel")
-    if partition.n_assets != panel.n_assets:
-        raise InputError(
-            f"partition covers {partition.n_assets} assets, panel has {panel.n_assets}"
-        )
-    k = _whole(k, "sector index")
-    if not 0 <= k < partition.n_sectors:
-        raise InputError(f"sector index {k} out of range")
-    members = partition.members(k)
+def _fit_sector(panel: StandardizedPanel, members: np.ndarray) -> SectorModel:
+    """The one-factor PCA model of the sector whose panel columns are ``members``."""
     x = panel.values[:, members]
     c = _gram_correlation(x, panel.n_periods - 1)
     spectrum = sym_eig_sorted(c)
@@ -185,5 +163,17 @@ def fit_sector(
 def fit_all_sectors(
     panel: StandardizedPanel, partition: SectorPartition
 ) -> tuple[SectorModel, ...]:
-    """Fit every sector of the partition, in sector order."""
-    return tuple(fit_sector(panel, partition, k) for k in range(partition.n_sectors))
+    """Fit the one-factor PCA model of every sector of the partition, in sector order.
+
+    Each sector correlation matrix is decomposed with ``sym_eig_sorted``; the
+    factor series is the members' standardized returns combined with the
+    leading eigenvector weights and scaled by ``1/sqrt(lambda_1)`` so its
+    sample variance is 1.
+    """
+    if not isinstance(panel, StandardizedPanel):
+        raise InputError("fit_all_sectors expects a standardized panel")
+    if partition.n_assets != panel.n_assets:
+        raise InputError(
+            f"partition covers {partition.n_assets} assets, panel has {panel.n_assets}"
+        )
+    return tuple(_fit_sector(panel, partition.members(k)) for k in range(partition.n_sectors))

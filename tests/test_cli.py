@@ -307,6 +307,15 @@ class TestErrorPaths:
         rc = main(["compare", "--panel", str(panel), "--sectors", str(partial)])
         assert rc == 1
 
+    def test_spec_with_boolean_and_text_entries(self, tmp_path, capsys):
+        spec = tmp_path / "market.json"
+        spec.write_text(
+            '{"n_periods": 10, "factor_correlation": [[true]], "sectors": '
+            '[{"name": "a", "size": 2, "correlation": [[true, "0.3"], ["0.3", 1]]}]}'
+        )
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "p.csv")]) == 1
+        assert "sector 'a' correlation must be an array of numbers" in capsys.readouterr().err
+
     def test_usage_error_exits_one(self):
         proc = subprocess.run(
             [sys.executable, "-m", "hpca", "no-such-command"],

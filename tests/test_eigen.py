@@ -179,6 +179,10 @@ BAD_ARRAYS = {
     "non-numeric": [["1", "x"], ["x", "1"]],
     "overflow": [[10**400]],
     "dict": {"a": 1.0},
+    # numpy would cast these: the imaginary part dropped, the text parsed, booleans as 0 and 1.
+    "complex": np.array([[2, 1j], [-1j, 2]]),
+    "numeric-text": [["1", "0.5"], ["0.5", "1"]],
+    "boolean": [[True, False], [False, True]],
 }
 
 

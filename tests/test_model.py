@@ -702,10 +702,20 @@ class TestExport:
         assert table[0] == "asset,EV1,EV2"
         assert len(table) == model.n_assets + 1
 
-    def test_fractional_vector_count_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            (1.5, "eigenvector count must be a whole number, got 1.5"),
+            ("1", "eigenvector count must be a whole number, got '1'"),
+            (None, "eigenvector count must be a whole number, got None"),
+            (-1, "eigenvector count must be non-negative, got -1"),
+        ],
+        ids=["fractional", "text", "none", "negative"],
+    )
+    def test_fractional_vector_count_rejected(self, tmp_path, vectors, message):
         panel, model = helpers.fit_from_spec(helpers.market_like_spec(np.random.default_rng(24)))
-        with pytest.raises(InputError, match="eigenvector count must be a whole number, got 1.5"):
-            save_model(model, tmp_path, vectors=1.5)
+        with pytest.raises(InputError, match=re.escape(message)):
+            save_model(model, tmp_path, vectors=vectors)
 
     def test_eigenvector_table_quotes_asset_names(self, tmp_path):
         raw = raw_panel(np.random.default_rng(21).standard_normal((40, 3)))

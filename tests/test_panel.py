@@ -879,8 +879,14 @@ class TestReturnsPanelValidation:
 
     @pytest.mark.parametrize(
         "dates, assets",
-        [((1, 2), ("A", "B")), (("d1", "d2"), (3, None)), (("d1", b"d2"), ("A", "B"))],
-        ids=["integer-dates", "non-text-assets", "bytes-date"],
+        [
+            ((1, 2), ("A", "B")), (("d1", "d2"), (3, None)), (("d1", b"d2"), ("A", "B")),
+            ("ab", ("A", "B")), (("d1", "d2"), "AB"), (None, ("A", "B")), (("d1", "d2"), 5),
+        ],
+        ids=[
+            "integer-dates", "non-text-assets", "bytes-date",
+            "one-string-dates", "one-string-assets", "dates-not-iterable", "assets-not-iterable",
+        ],
     )
     def test_rejects_labels_that_are_not_text(self, dates, assets):
         with pytest.raises(InputError, match="dates and asset names must be text"):

@@ -18,7 +18,7 @@ from hpca.rmt import (
     mp_threshold,
     residual_spectrum,
 )
-from hpca.sectors import SectorPartition, fit_sector
+from hpca.sectors import SectorPartition, fit_all_sectors
 from hpca.synth import default_market_spec, generate
 
 
@@ -104,7 +104,7 @@ class TestDefactor:
         partition = SectorPartition(
             labels=("all",), assignment=np.zeros(panel.n_assets, dtype=int)
         )
-        model = fit_sector(panel, partition, 0)
+        model = fit_all_sectors(panel, partition)[0]
         residuals = defactor(panel, model.factor[:, None])
         corr = residuals.values.T @ residuals.values / (panel.n_periods - 1)
         leading = np.linalg.eigvalsh(corr).max()
@@ -266,7 +266,7 @@ class TestResidualSpectrum:
         partition = SectorPartition(
             labels=("all",), assignment=np.zeros(panel.n_assets, dtype=int)
         )
-        model = fit_sector(panel, partition, 0)
+        model = fit_all_sectors(panel, partition)[0]
         ref = mp_density(panel.n_assets, panel.n_periods)
         report = residual_spectrum(defactor(panel, model.factor[:, None]), ref)
         assert report.leading_eigenvalue < 0.5 * model.eigenvalues[0]

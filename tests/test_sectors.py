@@ -10,7 +10,7 @@ import pytest
 from hpca.errors import InputError
 from hpca.model import fit_hpca
 from hpca.panel import ReturnsPanel, StandardizedPanel, standardize
-from hpca.sectors import SectorPartition, fit_all_sectors, fit_sector, load_sector_map
+from hpca.sectors import SectorPartition, fit_all_sectors, load_sector_map
 from hpca.synth import default_market_spec, generate
 
 
@@ -60,7 +60,7 @@ class TestFitSector:
         rng = np.random.default_rng(0)
         panel = standardize_helper(rng, 20, 3)
         part = partition_of([1, 2])
-        model = fit_sector(panel, part, 0)
+        model = fit_all_sectors(panel, part)[0]
         assert model.size == 1
         assert model.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
         assert model.eigenvectors[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -70,13 +70,13 @@ class TestFitSector:
     def test_perfectly_correlated_pair(self):
         x = standardize_helper(np.random.default_rng(1), 12, 1).values[:, 0]
         panel = standardized(np.column_stack([x, x]))
-        model = fit_sector(panel, partition_of([2]), 0)
+        model = fit_all_sectors(panel, partition_of([2]))[0]
         np.testing.assert_allclose(model.eigenvalues, [2.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(model.betas, [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(model.factor, x, atol=1e-12)
 
     def test_two_asset_closed_form(self):
-        model = fit_sector(two_column_panel(0.6), partition_of([2]), 0)
+        model = fit_all_sectors(two_column_panel(0.6), partition_of([2]))[0]
         assert model.eigenvalues[0] == pytest.approx(1.6, abs=1e-12)
         expected_beta = math.sqrt(1.6) / math.sqrt(2.0)
         np.testing.assert_allclose(model.betas, [expected_beta] * 2, atol=1e-12)
@@ -84,7 +84,7 @@ class TestFitSector:
     def test_factor_is_unit_variance_zero_mean(self):
         rng = np.random.default_rng(2)
         panel = standardize_helper(rng, 60, 7)
-        model = fit_sector(panel, partition_of([4, 3]), 0)
+        model = fit_all_sectors(panel, partition_of([4, 3]))[0]
         assert abs(model.factor.mean()) <= 1e-10
         assert abs(model.factor.var(ddof=1) - 1.0) <= 1e-8
 
@@ -102,37 +102,25 @@ class TestFitSectorInputErrors:
             assets=("A", "B"),
             values=[[1.0, 2.0], [3.0, 5.0], [4.0, 4.0]],
         )
-        with pytest.raises(InputError, match="fit_sector expects a standardized panel"):
-            fit_sector(raw, partition_of([2]), 0)
+        with pytest.raises(InputError, match="fit_all_sectors expects a standardized panel"):
+            fit_all_sectors(raw, partition_of([2]))
 
     @pytest.mark.parametrize(
         "fit",
-        [lambda panel, part: fit_sector(panel, part, 0), fit_hpca],
-        ids=["fit_sector", "fit_hpca"],
+        [fit_all_sectors, fit_hpca],
+        ids=["fit_all_sectors", "fit_hpca"],
     )
     def test_rejects_partition_of_another_size(self, fit):
         panel = standardize_helper(np.random.default_rng(11), 20, 5)
         with pytest.raises(InputError, match="partition covers 4 assets, panel has 5"):
             fit(panel, partition_of([2, 2]))
 
-    @pytest.mark.parametrize("k", [True, "0", 1.5, None])
-    def test_rejects_sector_index_that_is_not_whole(self, k):
-        panel = standardize_helper(np.random.default_rng(12), 20, 4)
-        with pytest.raises(InputError, match=re.escape(f"sector index must be a whole number, got {k!r}")):
-            fit_sector(panel, partition_of([2, 2]), k)
-
-    @pytest.mark.parametrize("k", [-1, 2])
-    def test_rejects_sector_index_out_of_range(self, k):
-        panel = standardize_helper(np.random.default_rng(12), 20, 4)
-        with pytest.raises(InputError, match=f"sector index {k} out of range"):
-            fit_sector(panel, partition_of([2, 2]), k)
-
 
 class TestSectorInvariants:
     def test_residual_uncorrelated_with_factor(self):
         rng = np.random.default_rng(4)
         panel = standardize_helper(rng, 80, 5)
-        model = fit_sector(panel, partition_of([5]), 0)
+        model = fit_all_sectors(panel, partition_of([5]))[0]
         for j in range(5):
             resid = panel.values[:, model.members[j]] - model.betas[j] * model.factor
             corr = np.corrcoef(resid, model.factor)[0, 1]
@@ -147,7 +135,7 @@ class TestSectorInvariants:
     def test_beta_equals_correlation_with_factor(self):
         rng = np.random.default_rng(6)
         panel = standardize_helper(rng, 70, 6)
-        model = fit_sector(panel, partition_of([6]), 0)
+        model = fit_all_sectors(panel, partition_of([6]))[0]
         for j in range(6):
             corr = np.corrcoef(panel.values[:, j], model.factor)[0, 1]
             assert abs(corr - model.betas[j]) <= 1e-10
@@ -196,6 +184,11 @@ class TestPartition:
             SectorPartition.from_mapping(("X",), {"X": "a", "GHOST": "b"})
         assert any("GHOST" in message for message in caplog.messages)
 
+    def test_labels_are_stored_as_a_tuple(self):
+        part = SectorPartition(iter(["a", "b"]), [1.0, 0])
+        assert part.labels == ("a", "b")
+        assert part.assignment.dtype.kind == "i" and part.assignment.tolist() == [1, 0]
+
     def test_empty_sector_rejected(self):
         with pytest.raises(InputError):
             SectorPartition(labels=("a", "b"), assignment=np.zeros(3, dtype=int))
@@ -208,8 +201,18 @@ class TestPartition:
             ((), [], "sector labels must be unique and non-empty"),
             (("a", "b"), [0, 2], "sector assignment index out of range"),
             (("a", "b"), [-1, 1], "sector assignment index out of range"),
+            (("a", "b"), [0.5, 1.7], "sector assignment must be a whole number, got 0.5"),
+            (("a", "b"), ["0", "1"], "sector assignment must be an array of numbers"),
+            (("a", "b"), [False, True], "sector assignment must be an array of numbers"),
+            ("ab", [0, 1], "sector labels must be text"),
+            (None, [0], "sector labels must be text"),
+            ((1, 2), [0, 1], "sector labels must be text"),
         ],
-        ids=["two-dimensional", "repeated-label", "no-labels", "index-above", "index-below"],
+        ids=[
+            "two-dimensional", "repeated-label", "no-labels", "index-above", "index-below",
+            "fractional-index", "text-index", "boolean-index", "one-string-labels",
+            "labels-not-iterable", "integer-labels",
+        ],
     )
     def test_rejects_malformed_partition(self, labels, assignment, message):
         with pytest.raises(InputError, match=re.escape(message)):

@@ -2,13 +2,13 @@
 
 Usage: python3 tools/round_trip_digests.py SRC_DIR
 
-Runs the README's command-line round trip, plus a ``fit --dense``, on the
-default market at seed 7 with the ``hpca`` package under SRC_DIR (the
-``src`` directory of a checkout), in a temporary directory with its own
-``XDG_CACHE_HOME``: once with an empty panel cache ("cold") and once with
-the cache the first pass left ("warm"). Run it on two trees and diff the
-output to check that a change leaves every output byte-identical. Standard
-library only.
+Runs the README's command-line round trip, plus a ``fit --dense`` and a
+``residuals`` per method at its default cutoff, on the default market at
+seed 7 with the ``hpca`` package under SRC_DIR (the ``src`` directory of a
+checkout), in a temporary directory with its own ``XDG_CACHE_HOME``: once
+with an empty panel cache ("cold") and once with the cache the first pass
+left ("warm"). Run it on two trees and diff the output to check that a
+change leaves every output byte-identical. Standard library only.
 """
 
 import hashlib
@@ -31,6 +31,9 @@ COMMANDS = [
     ("compare --top 25 --json", ["compare", *PANEL, "--top", "25", "--json"]),
     *((f"residuals --method {m}", ["residuals", *PANEL, "--method", m, "--m", "30",
                                    "--out", f"resid-{m}"]) for m in ("hpca", "pca")),
+    # The noise-edge default cutoff, which the benchmark's residuals commands use.
+    *((f"residuals --method {m} (default cutoff)", ["residuals", *PANEL, "--method", m])
+      for m in ("hpca", "pca")),
 ]
 FILES = ["panel.csv", "sectors.csv", "model/model.json", "model/eigenvectors.csv",
          "model-dense/model.json"] + [
