@@ -54,14 +54,24 @@ def _asymmetry(a: np.ndarray) -> float:
     return float(np.abs(diff, out=diff).max())
 
 
+def _holds_bool(items) -> bool:
+    """Whether a list or tuple holds booleans (or a boolean array) at any depth of nesting."""
+    nested = (x for x in items if isinstance(x, (list, tuple)))
+    flags = (isinstance(x, bool) or getattr(x, "dtype", None) == bool for x in items)
+    return any(flags) or any(map(_holds_bool, nested))
+
+
 def _as_numbers(value, what: str) -> np.ndarray:
     """``value`` as a float array; ``InputError`` naming ``what`` unless it holds real numbers."""
     try:
+        # numpy reads ``[True, 0.3]`` as floats; an array's dtype shows its booleans.
+        if isinstance(value, (list, tuple)) and _holds_bool(value):
+            raise TypeError("boolean entries")
         a = np.asarray(value)
         if a.dtype.kind in "bcSU":
             raise TypeError(f"{a.dtype} entries")
         return np.asarray(a, float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise InputError(f"{what} must be an array of numbers") from exc
 
 

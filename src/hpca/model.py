@@ -104,11 +104,6 @@ class SpectrumLabel:
             return "Multi-sector"
         return str(self.sector)
 
-    def to_dict(self) -> dict:
-        if self.kind == MULTI_SECTOR:
-            return {"kind": self.kind, "rank": self.rank}
-        return {"kind": self.kind, "sector": self.sector, "order": self.order}
-
 
 @dataclass(frozen=True)
 class LabeledSpectrum(Spectrum):
@@ -246,15 +241,24 @@ def eigenportfolio_series(
     return values @ vectors[:, :count] / np.sqrt(lam)
 
 
-def model_to_dict(model: HpcaModel, include_matrix: bool = False) -> dict:
-    """Serialize a fitted model to plain JSON-compatible types.
+def save_model(
+    model: HpcaModel,
+    directory: str | Path,
+    include_matrix: bool = False,
+    vectors: int = 0,
+) -> Path:
+    """Write a fitted model to a directory and return the path of its ``model.json``.
 
-    Per-sector eigensystems, betas, the factor correlation, the scaled
-    factor covariance and its eigensystem, and the labeled eigenvalue list
-    are always included; the dense hierarchical matrix only on request.
+    That file holds the sector eigensystems and betas, the factor correlation,
+    the scaled factor covariance and its eigensystem, and the labeled spectrum;
+    the dense matrix only on request. ``eigenvectors.csv`` holds the top
+    ``vectors`` eigenvectors, one row per asset, for a count above 0. The count
+    is checked first, so a refused call writes nothing.
     """
+    spectrum = model.spectrum
+    table = spectrum.vectors(vectors)
     doc = {
-        "assets": list(model.spectrum.assets),
+        "assets": list(spectrum.assets),
         "sectors": list(model.partition.labels),
         "assignment": model.partition.assignment.tolist(),
         "factor_correlation": model.factor_corr.tolist(),
@@ -262,13 +266,15 @@ def model_to_dict(model: HpcaModel, include_matrix: bool = False) -> dict:
         "multi_sector_eigenvalues": model.factor_cov.eigenvalues.tolist(),
         "factor_cov_eigenvectors": model.factor_cov.eigenvectors.tolist(),
         "spectrum": [
-            {"eigenvalue": float(v), "label": lab.describe(), **lab.to_dict()}
-            for v, lab in zip(model.spectrum.eigenvalues, model.spectrum.labels)
+            # Without its None fields a label is ``kind, rank`` or ``kind, sector, order``.
+            {"eigenvalue": float(v), "label": lab.describe(),
+             **{k: x for k, x in vars(lab).items() if x is not None}}
+            for v, lab in zip(spectrum.eigenvalues, spectrum.labels)
         ],
         "sector_models": [
             {
                 "label": label,
-                "assets": [model.spectrum.assets[i] for i in m.members],
+                "assets": [spectrum.assets[i] for i in m.members],
                 "eigenvalues": m.eigenvalues.tolist(),
                 "eigenvectors": m.eigenvectors.tolist(),
                 "betas": m.betas.tolist(),
@@ -278,31 +284,11 @@ def model_to_dict(model: HpcaModel, include_matrix: bool = False) -> dict:
     }
     if include_matrix:
         doc["matrix"] = model.matrix.tolist()
-    return doc
-
-
-def save_model(
-    model: HpcaModel,
-    directory: str | Path,
-    include_matrix: bool = False,
-    vectors: int = 0,
-) -> Path:
-    """Write ``model.json`` (and optionally an eigenvector table) to a directory."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / MODEL_FILENAME
-    _dump_json(model_to_dict(model, include_matrix=include_matrix), path)
-    if vectors != 0:
-        write_eigenvector_table(model.spectrum, directory / VECTORS_FILENAME, vectors)
+    path = Path(directory) / MODEL_FILENAME
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _dump_json(doc, path)
+    if table.shape[1]:
+        header = ["asset"] + [f"EV{r + 1}" for r in range(table.shape[1])]
+        rows = ([a, *row] for a, row in zip(spectrum.assets, table.tolist()))
+        _write_rows(path.with_name(VECTORS_FILENAME), header, rows)
     return path
-
-
-def write_eigenvector_table(spectrum: LabeledSpectrum, dest: str | Path, count: int) -> None:
-    """Write the top ``count`` eigenvectors as comma-delimited text.
-
-    One row per asset, one column per eigenvector, full-precision values.
-    """
-    vectors = spectrum.vectors(count)
-    header = ["asset"] + [f"EV{r + 1}" for r in range(vectors.shape[1])]
-    rows = ([a, *row] for a, row in zip(spectrum.assets, vectors.tolist()))
-    _write_rows(dest, header, rows)

@@ -514,6 +514,17 @@ class TestInputFailuresReportCleanly:
         )
         assert f"malformed market spec: {message}" in stderr
 
+    def test_simulate_with_boolean_among_correlations(self, tmp_path, small_spec_file):
+        doc = json.loads(small_spec_file.read_text())
+        beta = doc["sectors"][1]
+        del beta["equicorrelation"]
+        beta["correlation"] = [[True, 0.4], [0.4, 1.0]]
+        small_spec_file.write_text(json.dumps(doc))
+        stderr = self.assert_input_error(
+            "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
+        )
+        assert "sector 'beta' correlation must be an array of numbers" in stderr
+
     def test_simulate_with_negative_seed(self, tmp_path, small_spec_file):
         self.assert_input_error(
             "simulate", "--spec", small_spec_file, "--seed", "-1",

@@ -1,5 +1,6 @@
 """Deterministic symmetric eigendecomposition."""
 
+import functools
 import re
 from contextlib import suppress
 
@@ -183,6 +184,10 @@ BAD_ARRAYS = {
     "complex": np.array([[2, 1j], [-1j, 2]]),
     "numeric-text": [["1", "0.5"], ["0.5", "1"]],
     "boolean": [[True, False], [False, True]],
+    "boolean-among-numbers": [[True, 0.3], [0.3, np.True_]],
+    "boolean-array-among-numbers": [np.array([True, False]), [0.3, 1.0]],
+    # Deeper than numpy's 64 dimensions, and than the walk that looks for booleans can recurse.
+    "deeply-nested": functools.reduce(lambda v, _: [v], range(2000), [1.0]),
 }
 
 

@@ -709,13 +709,36 @@ class TestExport:
             ("1", "eigenvector count must be a whole number, got '1'"),
             (None, "eigenvector count must be a whole number, got None"),
             (-1, "eigenvector count must be non-negative, got -1"),
+            (False, "eigenvector count must be a whole number, got False"),
         ],
-        ids=["fractional", "text", "none", "negative"],
+        ids=["fractional", "text", "none", "negative", "boolean"],
     )
     def test_fractional_vector_count_rejected(self, tmp_path, vectors, message):
         panel, model = helpers.fit_from_spec(helpers.market_like_spec(np.random.default_rng(24)))
+        out = tmp_path / "model"
         with pytest.raises(InputError, match=re.escape(message)):
-            save_model(model, tmp_path, vectors=vectors)
+            save_model(model, out, vectors=vectors)
+        # The count is checked before anything is written.
+        assert not out.exists()
+
+    @pytest.mark.parametrize("include_matrix", [False, True], ids=["default", "with-matrix"])
+    def test_model_json_layout(self, tmp_path, include_matrix):
+        panel, model = helpers.fit_from_spec(helpers.market_like_spec(np.random.default_rng(24)))
+        save_model(model, tmp_path, include_matrix=include_matrix)
+        doc = load_model_dict(tmp_path)
+        assert list(doc) == [
+            "assets", "sectors", "assignment", "factor_correlation", "factor_covariance",
+            "multi_sector_eigenvalues", "factor_cov_eigenvectors", "spectrum", "sector_models",
+        ] + ["matrix"] * include_matrix
+        assert {(entry["kind"], *entry) for entry in doc["spectrum"]} == {
+            (MULTI_SECTOR, "eigenvalue", "label", "kind", "rank"),
+            (SECTOR, "eigenvalue", "label", "kind", "sector", "order"),
+        }
+        assert {tuple(m) for m in doc["sector_models"]} == {
+            ("label", "assets", "eigenvalues", "eigenvectors", "betas")
+        }
+        # The default count of 0 writes no eigenvector table.
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_eigenvector_table_quotes_asset_names(self, tmp_path):
         raw = raw_panel(np.random.default_rng(21).standard_normal((40, 3)))

@@ -204,14 +204,15 @@ class TestPartition:
             (("a", "b"), [0.5, 1.7], "sector assignment must be a whole number, got 0.5"),
             (("a", "b"), ["0", "1"], "sector assignment must be an array of numbers"),
             (("a", "b"), [False, True], "sector assignment must be an array of numbers"),
+            (("a", "b"), [0, True], "sector assignment must be an array of numbers"),
             ("ab", [0, 1], "sector labels must be text"),
             (None, [0], "sector labels must be text"),
             ((1, 2), [0, 1], "sector labels must be text"),
         ],
         ids=[
             "two-dimensional", "repeated-label", "no-labels", "index-above", "index-below",
-            "fractional-index", "text-index", "boolean-index", "one-string-labels",
-            "labels-not-iterable", "integer-labels",
+            "fractional-index", "text-index", "boolean-index", "boolean-among-indices",
+            "one-string-labels", "labels-not-iterable", "integer-labels",
         ],
     )
     def test_rejects_malformed_partition(self, labels, assignment, message):

@@ -259,9 +259,9 @@ class TestSpecValidation:
         "text",
         [
             "[[1.0], [1.0, 0.5]]", '[["1", "x"], ["x", "1"]]', f"[[{10**400}]]", '{"a": 1.0}',
-            '[[true, "0.3"], ["0.3", 1]]',
+            '[[true, "0.3"], ["0.3", 1]]', "[[true, 0.3], [0.3, 1]]",
         ],
-        ids=["ragged", "non-numeric", "overflow", "dict", "boolean-and-text"],
+        ids=["ragged", "non-numeric", "overflow", "dict", "boolean-and-text", "boolean-and-numbers"],
     )
     def test_unreadable_sector_correlation_rejected_by_name(self, text):
         doc = json.loads(
