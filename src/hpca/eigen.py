@@ -46,14 +46,6 @@ class Spectrum:
         return self.eigenvectors[:, :count]
 
 
-def _asymmetry(a: np.ndarray) -> float:
-    """``max |A - A^T|``; 0.0, with no n x n float temporary, if ``A`` equals ``A^T`` bitwise."""
-    if np.array_equal(a.view(np.uint64), a.T.view(np.uint64)):
-        return 0.0
-    diff = a - a.T
-    return float(np.abs(diff, out=diff).max())
-
-
 def _holds_bool(items) -> bool:
     """Whether a list or tuple holds booleans (or a boolean array) at any depth of nesting."""
     nested = (x for x in items if isinstance(x, (list, tuple)))
@@ -99,26 +91,30 @@ def _labels(value, what: str) -> tuple[str, ...]:
     return labels
 
 
-def _checked_symmetric(matrix, what: str, tol: float) -> tuple[np.ndarray, float]:
-    """``matrix`` as a float array and its ``max |A - A^T|``.
+def _checked_symmetric(matrix, what: str, tol: float) -> np.ndarray:
+    """``matrix`` as a float array equal to its transpose: the package's one symmetrization.
 
-    Raises ``InputError`` naming ``what`` unless the matrix is 2-d, square,
-    non-empty, finite and symmetric to ``tol``.
+    A matrix off-symmetric by at most ``tol`` comes back as ``(A + A^T) / 2``,
+    any other as is, with no copy. Raises ``InputError`` naming ``what`` unless
+    the matrix is 2-d, square, non-empty, finite and symmetric to ``tol``.
     """
     a = _as_numbers(matrix, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise InputError(f"{what} must be square and non-empty, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InputError(f"{what} contains non-finite entries")
-    asym = _asymmetry(a)
+    if np.array_equal(a.view(np.uint64), a.T.view(np.uint64)):
+        return a
+    diff = a - a.T
+    asym = float(np.abs(diff, out=diff).max())
     if asym > tol:
         raise InputError(f"{what} is not symmetric: max |A - A^T| = {asym:g}")
-    return a, asym
+    return 0.5 * (a + a.T) if asym else a
 
 
 def _checked_correlation(matrix, what: str, tol: float) -> np.ndarray:
     """``_checked_symmetric``'s array, whose diagonal is also 1 to ``tol``."""
-    a, _ = _checked_symmetric(matrix, what, tol)
+    a = _checked_symmetric(matrix, what, tol)
     if np.abs(np.diag(a) - 1.0).max() > tol:
         raise InputError(f"{what} diagonal is not 1")
     return a
@@ -127,8 +123,8 @@ def _checked_correlation(matrix, what: str, tol: float) -> np.ndarray:
 def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
     """Decompose a real symmetric matrix deterministically.
 
-    The input is symmetrized as ``(A + A^T) / 2``; for an exactly symmetric
-    input that is ``A`` bit for bit, so it is skipped and makes no copy.
+    An input off-symmetric within tolerance is decomposed as
+    ``(A + A^T) / 2``, which the symmetric-matrix check returns.
     Eigenvalues are returned in non-increasing order, ties are broken by the
     index of the largest-magnitude eigenvector entry, and each eigenvector is
     sign-fixed so its entry sum is non-negative. Two calls on
@@ -144,9 +140,7 @@ def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
         InputError: empty or non-square input, non-finite entries, or
             asymmetry beyond tolerance.
     """
-    a, asym = _checked_symmetric(matrix, "matrix", SYMMETRY_TOL)
-    if asym:
-        a = 0.5 * (a + a.T)
+    a = _checked_symmetric(matrix, "matrix", SYMMETRY_TOL)
 
     values, vectors = np.linalg.eigh(a)
     # Non-increasing order, copied into the layouts the tie-break gather

@@ -23,7 +23,7 @@ from typing import TextIO
 import numpy as np
 
 from . import _rows
-from .eigen import _as_numbers, _asymmetry, _checked_correlation, _labels, _whole
+from .eigen import _as_numbers, _checked_correlation, _labels, _whole
 from .errors import InputError
 from .textio import _not_utf8, _text_stream
 
@@ -126,15 +126,13 @@ class CorrelationMatrix:
 
 
 def _gram_correlation(x: np.ndarray, divisor: float) -> np.ndarray:
-    """``x^T x / divisor``, symmetrized, with the diagonal set to exactly 1.
+    """``x^T x / divisor`` with the diagonal set to exactly 1.
 
-    For a C- or F-contiguous ``x`` numpy's product is already exactly
-    symmetric, so symmetrizing is skipped and makes no n x n copy.
+    ``x`` must be C- or F-contiguous: numpy then fills both triangles of
+    ``x.T @ x`` from one, so the product is exactly symmetric.
     """
     c = x.T @ x
     c /= divisor
-    if _asymmetry(c):
-        c = 0.5 * (c + c.T)
     np.fill_diagonal(c, 1.0)
     return c
 
@@ -407,8 +405,8 @@ def standardize(panel: ReturnsPanel) -> StandardizedPanel:
 def correlation(panel: StandardizedPanel) -> CorrelationMatrix:
     """Sample correlation matrix ``X^T X / (T - 1)`` of a standardized panel.
 
-    The diagonal is set to exactly 1 and the result is symmetrized, so the
-    output is a valid correlation matrix by construction.
+    The diagonal is set to exactly 1 and the result is exactly symmetric, so
+    the output is a valid correlation matrix by construction.
     """
     if not isinstance(panel, StandardizedPanel):
         raise InputError("correlation expects a standardized panel")

@@ -43,7 +43,7 @@ class MpReference:
 
     @property
     def bin_width(self) -> float:
-        return float(self.grid[1] - self.grid[0])
+        return float(self.grid[1] - self.grid[0]) if len(self.grid) > 1 else 0.0
 
 
 def mp_density(n: int, t: int, grid_size: int = DEFAULT_GRID_SIZE) -> MpReference:

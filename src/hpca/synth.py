@@ -46,7 +46,7 @@ DEFAULT_INTRA = (0.35, 0.30, 0.45, 0.40, 0.30, 0.35, 0.35, 0.40, 0.35, 0.50, 0.4
 
 def _check_correlation(matrix: np.ndarray, what: str) -> np.ndarray:
     m = _checked_correlation(matrix, what, SYMMETRY_TOL)
-    if float(np.linalg.eigvalsh(0.5 * (m + m.T)).min()) < PSD_TOL:
+    if float(np.linalg.eigvalsh(m).min()) < PSD_TOL:
         raise InputError(f"{what} is not positive semi-definite")
     return m
 
@@ -65,6 +65,8 @@ class SectorSpec:
     correlation: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise InputError(f"sector name must be a string, got {self.name!r}")
         object.__setattr__(self, "size", _whole(self.size, f"sector {self.name!r} size"))
         if self.size < 1:
             raise InputError(f"sector {self.name!r} has size {self.size}")
@@ -114,6 +116,10 @@ class MarketSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_periods", _whole(self.n_periods, "n_periods"))
         object.__setattr__(self, "seed", _whole(self.seed, "seed"))
+        if not isinstance(self.sectors, (list, tuple)) or not all(
+            isinstance(s, SectorSpec) for s in self.sectors
+        ):
+            raise InputError(f"sectors must be a sequence of SectorSpec, got {self.sectors!r}")
         if not self.sectors:
             raise InputError("market spec needs at least one sector")
         names = [s.name for s in self.sectors]

@@ -464,6 +464,15 @@ class TestInputFailuresReportCleanly:
             "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
         )
 
+    def test_simulate_with_non_text_sector_name(self, tmp_path, small_spec_file):
+        doc = json.loads(small_spec_file.read_text())
+        doc["sectors"][0]["name"] = 3
+        small_spec_file.write_text(json.dumps(doc))
+        stderr = self.assert_input_error(
+            "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
+        )
+        assert "sector name must be a string, got 3" in stderr
+
     @pytest.mark.parametrize(
         "where, value",
         [("size", 2.9), ("size", True), ("n_periods", 10.7), ("seed", 1.5), ("seed", True)],

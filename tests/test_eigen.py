@@ -154,6 +154,46 @@ class TestOneCheck:
             ENTRY_POINTS[entry][0](matrix)
 
 
+# Where each entry point keeps the matrix its check admitted, from its
+# result and the matrices ``np.linalg.eigh`` was given.
+KEPT = {
+    "sym_eig_sorted": lambda spectrum, decomposed: decomposed[0],
+    "CorrelationMatrix": lambda record, _: record.values,
+    "SectorSpec": lambda spec, _: spec.correlation,
+    "MarketSpec": lambda spec, _: spec.factor_correlation,
+}
+
+
+def _kept(entry, matrix, monkeypatch):
+    decomposed = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: decomposed.append(a) or eigh(a))
+    return KEPT[entry](ENTRY_POINTS[entry][0](matrix), decomposed)
+
+
+def _correlation_3x3():
+    return np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]])
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+class TestSymmetricOnce:
+    def test_near_symmetric_input_kept_exactly_symmetric(self, entry, monkeypatch):
+        # 1e-13 is within every entry point's tolerance.
+        matrix = _correlation_3x3()
+        matrix[0, 1] += 1e-13
+        kept = _kept(entry, matrix, monkeypatch)
+        assert kept.tobytes() == kept.T.tobytes()
+        assert np.abs(kept - _correlation_3x3()).max() <= 1e-13
+
+    @pytest.mark.parametrize("signed_zero", [False, True], ids=["bitwise", "signed-zero"])
+    def test_symmetric_input_kept_without_a_copy(self, entry, signed_zero, monkeypatch):
+        # A matrix whose transpose differs only in the sign of a zero is kept as is.
+        matrix = _correlation_3x3()
+        if signed_zero:
+            matrix[0, 1], matrix[1, 0] = 0.0, -0.0
+        assert np.shares_memory(_kept(entry, matrix, monkeypatch), matrix)
+
+
 _EYE = np.eye(1)
 _STANDARDIZED = standardize(ReturnsPanel(("d1", "d2", "d3"), ("a",), [[1.0], [2.0], [4.0]]))
 

@@ -1,6 +1,8 @@
 """The top-level package: every exported name, imported on first use."""
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,9 +47,19 @@ def test_star_import_binds_every_name():
     }
 
 
-@pytest.mark.parametrize("name", ["eigen", "model", "panel", "report", "rmt", "sectors", "synth"])
-def test_submodule_is_reachable_from_the_package(name):
-    assert getattr(hpca, name) is importlib.import_module(f"hpca.{name}")
+def test_submodules_are_reachable_from_the_package():
+    # A fresh interpreter, and each attribute dropped before it is read, so
+    # every name goes through the package's ``__getattr__`` rather than the
+    # attribute that an earlier import of the submodule bound.
+    names = ["eigen", "model", "panel", "report", "rmt", "sectors", "synth"]
+    probe = (
+        "import importlib, hpca\n"
+        f"for name in {names!r}:\n"
+        "    vars(hpca).pop(name, None)\n"
+        "    assert getattr(hpca, name) is importlib.import_module(f'hpca.{name}'), name\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_name_raises_attribute_error():

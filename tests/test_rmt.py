@@ -301,6 +301,12 @@ class TestResidualSpectrum:
         with pytest.raises(NumericalError, match="degenerate reference grid"):
             residual_spectrum(defactor(panel, np.empty((40, 0))), flat)
 
+    def test_rejects_one_point_reference_grid(self):
+        panel = noise_panel(np.random.default_rng(13), 40, 4)
+        point = MpReference(lambda_minus=0.1, lambda_plus=2.0, grid=np.array([0.5]), density=np.zeros(1))
+        with pytest.raises(NumericalError, match="degenerate reference grid"):
+            residual_spectrum(defactor(panel, np.empty((40, 0))), point)
+
     @pytest.mark.parametrize("t, n", [(40, 1), (40, 2), (200, 20)])
     def test_mean_offdiag_is_the_masked_mean(self, t, n):
         panel = noise_panel(np.random.default_rng(t + n), t, n)

@@ -245,6 +245,11 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             market_spec_from_dict({"sectors": [{"name": "x"}]})
 
+    def test_null_sector_name_rejected(self):
+        doc = {"n_periods": 10, "factor_correlation": [[1.0]], "sectors": [{"name": None, "size": 2}]}
+        with pytest.raises(InputError, match="sector name must be a string, got None"):
+            market_spec_from_dict(doc)
+
     def test_null_sector_correlation_rejected(self):
         # A JSON null is not an omitted block: it is read as a 0-d NaN array.
         doc = {
@@ -297,16 +302,17 @@ class TestSpecValidation:
             (1, {"equicorrelation": -np.inf}, NOT_REAL + "-inf"),
             (2, {"equicorrelation": "x", "correlation": np.eye(2)}, NOT_REAL + "'x'"),
             (2, {"equicorrelation": 5}, "sector 'a' equicorrelation 5 invalid for size 2"),
+            (2, {"name": 3}, "sector name must be a string, got 3"),
         ],
         ids=[
             "size-zero", "size-negative", "correlation-shape", "equi-bool", "equi-str",
             "equi-nan", "singleton-nan", "singleton-inf", "equi-beside-correlation",
-            "equi-out-of-range",
+            "equi-out-of-range", "name-not-text",
         ],
     )
     def test_sector_spec_checked_when_built(self, size, fields, message):
         with pytest.raises(InputError, match=re.escape(message)):
-            SectorSpec(name="a", size=size, **fields)
+            SectorSpec(**{"name": "a", "size": size, **fields})
 
     def test_sector_spec_refuses_both_block_descriptions(self):
         with pytest.raises(InputError, match="sector 'a' gives both equicorrelation and correlation"):
@@ -342,12 +348,20 @@ class TestSpecValidation:
                 "factor correlation shape (1, 1) does not match 2 sectors",
             ),
             ((SectorSpec("a", 1),), np.eye(1), 1, "n_periods must be at least 2"),
+            ((1, 2), np.eye(2), 10, "sectors must be a sequence of SectorSpec, got (1, 2)"),
+            (
+                SectorSpec("a", 2), np.eye(1), 10,
+                "sectors must be a sequence of SectorSpec, got SectorSpec(name='a'",
+            ),
         ],
-        ids=["no-sectors", "duplicate-names", "factor-shape", "one-period"],
+        ids=["no-sectors", "duplicate-names", "factor-shape", "one-period", "not-specs", "one-spec"],
     )
     def test_market_spec_rejects(self, sectors, factor_correlation, n_periods, message):
         with pytest.raises(InputError, match=re.escape(message)):
             MarketSpec(sectors, factor_correlation, n_periods)
+
+    def test_market_spec_accepts_a_list_of_sectors(self):
+        assert MarketSpec([SectorSpec("a", 2, 0.3)], np.eye(1), n_periods=5).n_assets == 2
 
     def test_sector_map_matches_assets(self):
         spec = default_market_spec(n_periods=16)
