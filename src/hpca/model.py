@@ -48,15 +48,14 @@ def _assemble_hpca_matrix(
     Within-sector entries are copied from ``block_correlations`` unchanged;
     cross-sector entries are ``beta_i * beta_j * factor_corr[k, l]``.
     """
-    b = partition.n_sectors
+    members = [partition.members(k) for k in range(partition.n_sectors)]
     beta = np.empty(partition.n_assets)
-    for k in range(b):
-        beta[partition.members(k)] = block_betas[k]
+    for m, betas in zip(members, block_betas):
+        beta[m] = betas
     sec = partition.assignment
     matrix = np.outer(beta, beta) * factor_corr[np.ix_(sec, sec)]
-    for k in range(b):
-        members = partition.members(k)
-        matrix[np.ix_(members, members)] = block_correlations[k]
+    for m, block in zip(members, block_correlations):
+        matrix[np.ix_(m, m)] = block
     return matrix
 
 
@@ -274,12 +273,12 @@ def save_model(
         "sector_models": [
             {
                 "label": label,
-                "assets": [spectrum.assets[i] for i in m.members],
+                "assets": [spectrum.assets[i] for i in model.partition.members(k)],
                 "eigenvalues": m.eigenvalues.tolist(),
                 "eigenvectors": m.eigenvectors.tolist(),
                 "betas": m.betas.tolist(),
             }
-            for label, m in zip(model.partition.labels, model.sector_models)
+            for k, (label, m) in enumerate(zip(model.partition.labels, model.sector_models))
         ],
     }
     if include_matrix:

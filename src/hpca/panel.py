@@ -373,7 +373,8 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
 
             # The helper's input is all in a file before it starts, so no pipe fills.
             with suppress(OSError), tempfile.TemporaryFile() as feed:
-                feed.write(json.dumps(prefixes[half:]).encode() + b"\n" + values[half:].tobytes())
+                feed.write(json.dumps(prefixes[half:]).encode() + b"\n")
+                feed.write(np.ascontiguousarray(values[half:]))
                 feed.seek(0)
                 helper = subprocess.Popen(
                     [sys.executable, "-I", "-S", _rows.__file__],
@@ -381,12 +382,14 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
                 )
         with _text_stream(dest, "w") as stream:
             csv.writer(stream, lineterminator="\n").writerow(("date",) + panel.assets)
-            stream.write(_rows.format_rows(prefixes[:half], values[:half].tolist()))
-            out = helper.stdout.read() if helper else None
-            if helper and helper.wait() == 0:
-                stream.write(out.decode())
-            else:
-                stream.write(_rows.format_rows(prefixes[half:], values[half:].tolist()))
+            for i, (prefix, row) in enumerate(zip(prefixes, values)):
+                if helper and i == half:
+                    # Read whole before its status, so a failed helper leaves no partial rows.
+                    out = helper.stdout.read()
+                    if helper.wait() == 0:
+                        stream.write(out.decode())
+                        break
+                stream.write(_rows.format_row(prefix, row.tolist()))
     finally:
         if helper:
             with helper:  # closes its pipe and reaps it

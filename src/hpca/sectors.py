@@ -131,12 +131,10 @@ def _leading_betas(spectrum: Spectrum) -> np.ndarray:
 class SectorModel(Spectrum):
     """One-factor PCA model of a single sector: the sector's own spectrum.
 
-    ``members`` are the sector's panel columns. ``factor`` is the leading
-    eigenportfolio return series (unit sample variance, divisor T-1) and
-    ``betas`` are the member regressions on it: ``sqrt(lambda_1) * v_1``.
+    ``factor`` is the leading eigenportfolio return series (unit sample variance,
+    divisor T-1); ``betas`` are the member regressions on it: ``sqrt(lambda_1) * v_1``.
     """
 
-    members: np.ndarray
     correlation: np.ndarray
     factor: np.ndarray
 
@@ -152,7 +150,6 @@ def _fit_sector(panel: StandardizedPanel, members: np.ndarray) -> SectorModel:
     spectrum = sym_eig_sorted(c)
     factor = x @ spectrum.eigenvectors[:, 0] / np.sqrt(spectrum.eigenvalues[0])
     return SectorModel(
-        members=members,
         correlation=c,
         eigenvalues=spectrum.eigenvalues,
         eigenvectors=spectrum.eigenvectors,

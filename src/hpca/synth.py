@@ -185,21 +185,19 @@ def _root(spectrum: Spectrum) -> np.ndarray:
 
 
 def _correlate(spec: MarketSpec, shocks: np.ndarray) -> np.ndarray:
-    """Map T x n standard normal shocks to draws with the population correlation.
+    """Map T x n standard normal shocks, in place, to draws with the population correlation.
 
     Each sector's first column of ``shocks`` is overwritten with its factor
     (mixed by the factor root); each contiguous sector block is then
     multiplied by its sector root, whose first column is the beta vector.
     """
-    sizes = spec.partition.sizes
-    starts = np.cumsum(sizes) - sizes
+    starts = np.cumsum([0] + [s.size for s in spec.sectors[:-1]])
     factor_root = _root(sym_eig_sorted(spec.factor_correlation))
     shocks[:, starts] = shocks[:, starts] @ factor_root.T
-    out = np.empty(shocks.shape)
     for start, spectrum in zip(starts.tolist(), spec.sector_spectra):
-        block = slice(start, start + spectrum.size)
-        np.matmul(shocks[:, block], _root(spectrum).T, out=out[:, block])
-    return out
+        block = shocks[:, start : start + spectrum.size]
+        np.matmul(block, _root(spectrum).T, out=block)
+    return shocks
 
 
 def generate(spec: MarketSpec, seed: int | None = None) -> tuple[ReturnsPanel, MarketSpec]:
@@ -213,8 +211,7 @@ def generate(spec: MarketSpec, seed: int | None = None) -> tuple[ReturnsPanel, M
     seed = spec.seed if seed is None else _whole(seed, "seed")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    shocks = rng.standard_normal((spec.n_periods, spec.n_assets))
+    shocks = np.random.default_rng(seed).standard_normal((spec.n_periods, spec.n_assets))
     panel = ReturnsPanel(
         dates=_date_labels(spec.n_periods),
         assets=_asset_names(spec),
@@ -290,6 +287,8 @@ def market_spec_from_dict(doc: dict) -> MarketSpec:
             n_periods=doc["n_periods"],
             seed=doc.get("seed", 0),
         )
+    except InputError:
+        raise  # a well-formed document with a refused value: the check's own message
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed market spec: {exc}") from exc
 

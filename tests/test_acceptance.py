@@ -173,8 +173,9 @@ def test_criterion_6_hierarchy_recovery_on_default_market():
             close_entries += int((err[off] <= 0.05).sum())
             total_entries += int(off.sum())
             eps = np.empty_like(std.values)
-            for sector in model.sector_models:
-                eps[:, sector.members] = std.values[:, sector.members] - np.outer(
+            for k, sector in enumerate(model.sector_models):
+                members = model.partition.members(k)
+                eps[:, members] = std.values[:, members] - np.outer(
                     sector.factor, sector.betas
                 )
             eps = (eps - eps.mean(axis=0)) / eps.std(axis=0, ddof=1)

@@ -509,8 +509,9 @@ class TestInputFailuresReportCleanly:
     @pytest.mark.parametrize(
         "value, message",
         [
+            # A value the spec refuses is reported as its check words it.
             (True, "sector 'alpha' equicorrelation must be a finite real number, got True"),
-            (10**400, "int too large to convert to float"),
+            (10**400, "malformed market spec: int too large to convert to float"),
         ],
         ids=["bool", "huge-int"],
     )
@@ -521,7 +522,25 @@ class TestInputFailuresReportCleanly:
         stderr = self.assert_input_error(
             "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
         )
-        assert f"malformed market spec: {message}" in stderr
+        assert stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["sectors"][0].update(name="a", size=2.5),
+             "sector 'a' size must be a whole number, got 2.5"),
+            (lambda doc: doc.pop("sectors"), "malformed market spec: 'sectors'"),
+        ],
+        ids=["refused-size", "no-sectors"],
+    )
+    def test_simulate_names_what_the_spec_gets_wrong(self, tmp_path, small_spec_file, edit, message):
+        doc = json.loads(small_spec_file.read_text())
+        edit(doc)
+        small_spec_file.write_text(json.dumps(doc))
+        stderr = self.assert_input_error(
+            "simulate", "--spec", small_spec_file, "--out", tmp_path / "p.csv"
+        )
+        assert stderr == f"error: {message}\n"
 
     def test_simulate_with_boolean_among_correlations(self, tmp_path, small_spec_file):
         doc = json.loads(small_spec_file.read_text())

@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 
 from hpca.eigen import sym_eig_sorted
-from hpca.panel import ReturnsPanel, _gram_correlation, standardize
+from hpca.panel import SPLIT_VALUES, ReturnsPanel, _gram_correlation, standardize, write_panel
 from hpca.rmt import defactor
+from hpca.synth import default_market_spec, generate
 
 T, N = 2000, 300
 
@@ -50,3 +51,19 @@ def test_gram_correlation_makes_no_second_matrix():
 def test_sym_eig_sorted_does_not_copy_a_symmetric_input():
     c = _gram_correlation(np.random.default_rng(3).standard_normal((T, N)), T - 1)
     assert traced_peak(sym_eig_sorted, c) <= 2.5 * N * N * 8
+
+
+def test_generate_holds_one_panel():
+    spec = default_market_spec(n_periods=T)
+    assert traced_peak(generate, spec) <= 1.5 * T * spec.n_assets * 8
+
+
+def test_write_panel_holds_no_panel_of_text(tmp_path):
+    # Below SPLIT_VALUES every row is formatted in this process.
+    t = SPLIT_VALUES // N - 1
+    panel = ReturnsPanel(
+        dates=tuple(f"d{i}" for i in range(t)),
+        assets=tuple(f"A{i}" for i in range(N)),
+        values=np.random.default_rng(4).standard_normal((t, N)),
+    )
+    assert traced_peak(write_panel, panel, tmp_path / "panel.csv") < panel.values.nbytes

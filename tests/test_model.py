@@ -209,8 +209,9 @@ class TestBuildMatrix:
         rng = np.random.default_rng(5)
         spec = helpers.random_market_spec(rng, max_sectors=4, min_size=2)
         panel, model = helpers.fit_from_spec(spec)
-        for sector in model.sector_models:
-            block = model.matrix[np.ix_(sector.members, sector.members)]
+        for k, sector in enumerate(model.sector_models):
+            members = model.partition.members(k)
+            block = model.matrix[np.ix_(members, members)]
             assert block.tobytes() == sector.correlation.tobytes()
 
     def test_unit_diagonal(self):
@@ -475,7 +476,7 @@ class TestAnalyticOracle:
             n, b = model.n_assets, model.partition.n_sectors
             leading = np.zeros((n, b))
             for k, sector in enumerate(model.sector_models):
-                leading[sector.members, k] = sector.eigenvectors[:, 0]
+                leading[model.partition.members(k), k] = sector.eigenvectors[:, 0]
             image = model.matrix @ leading
             residual = image - leading @ (leading.T @ image)
             assert np.linalg.norm(residual, axis=0).max() <= 1e-10
@@ -484,10 +485,10 @@ class TestAnalyticOracle:
         rng = np.random.default_rng(14)
         spec = helpers.random_market_spec(rng, max_sectors=4, min_size=2)
         panel, model = helpers.fit_from_spec(spec)
-        for sector in model.sector_models:
+        for k, sector in enumerate(model.sector_models):
             for j in range(1, sector.size):
                 w = np.zeros(model.n_assets)
-                w[sector.members] = sector.eigenvectors[:, j]
+                w[model.partition.members(k)] = sector.eigenvectors[:, j]
                 residual = model.matrix @ w - sector.eigenvalues[j] * w
                 assert np.linalg.norm(residual) <= 1e-10
 

@@ -612,7 +612,8 @@ class TestTwoCoreWrite:
         assert len(started) == 1
         assert started[0].returncode not in (0, None)
 
-    @pytest.mark.parametrize("failing_write", [0, 1, 2], ids=["header", "first-half", "second-half"])
+    # The header is one write, each first-half row one more, and the helper's half the next.
+    @pytest.mark.parametrize("failing_write", [0, 1, 1 + 130], ids=["header", "first-half", "second-half"])
     def test_failing_destination_reaps_the_helper(self, started, failing_write):
         error = OSError("disk full")
 

@@ -120,9 +120,10 @@ class TestSectorInvariants:
     def test_residual_uncorrelated_with_factor(self):
         rng = np.random.default_rng(4)
         panel = standardize_helper(rng, 80, 5)
-        model = fit_all_sectors(panel, partition_of([5]))[0]
+        partition = partition_of([5])
+        model = fit_all_sectors(panel, partition)[0]
         for j in range(5):
-            resid = panel.values[:, model.members[j]] - model.betas[j] * model.factor
+            resid = panel.values[:, partition.members(0)[j]] - model.betas[j] * model.factor
             corr = np.corrcoef(resid, model.factor)[0, 1]
             assert abs(corr) <= 1e-10
 

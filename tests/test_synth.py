@@ -406,8 +406,9 @@ class TestEstimatorConsistency:
         std = standardize(panel)
         model = fit_hpca(std, truth.partition)
         eps = np.empty_like(std.values)
-        for sector in model.sector_models:
-            eps[:, sector.members] = std.values[:, sector.members] - np.outer(
+        for k, sector in enumerate(model.sector_models):
+            members = model.partition.members(k)
+            eps[:, members] = std.values[:, members] - np.outer(
                 sector.factor, sector.betas
             )
         eps = (eps - eps.mean(axis=0)) / eps.std(axis=0, ddof=1)
