@@ -1,23 +1,22 @@
-"""Panel rows as text. ``write_panel`` formats rows with ``format_row``, and
-runs this file in a second interpreter (``python -I -S``, so it imports only
-the standard library) to format the second half of a large panel: a JSON line
-of row prefixes and then the rows' float64 values in, the rows as UTF-8 out.
+"""Panel values as text. ``write_panel`` formats rows with ``format_values``,
+and runs this file in a second interpreter (``python -I -S``, so it imports
+only the standard library) to format the second half of a large panel: the
+row width as its one argument, the rows' raw float64 values on stdin, and
+one line of values per row on stdout, written row by row. Both are files.
 """
 
-import json
 import sys
 from array import array
 
 
-def format_row(prefix, row) -> str:
-    """A row as its prefix (its quoted date and a comma) and its values' ``repr``."""
-    return f"{prefix}{','.join(map(repr, row))}\n"
+def format_values(row) -> str:
+    """A row's values as their comma-separated ``repr``, ending the line."""
+    return f"{','.join(map(repr, row))}\n"
 
 
 if __name__ == "__main__":
-    prefixes = json.loads(sys.stdin.buffer.readline())
+    width = int(sys.argv[1])
     values = array("d", sys.stdin.buffer.read())
-    width = len(values) // len(prefixes)
-    # Format every row before writing: a full pipe would wait until the reader ends its half.
-    rows = [format_row(p, values[i * width : (i + 1) * width]) for i, p in enumerate(prefixes)]
-    sys.stdout.buffer.writelines(row.encode() for row in rows)
+    sys.stdout.buffer.writelines(
+        format_values(values[i : i + width]).encode() for i in range(0, len(values), width)
+    )

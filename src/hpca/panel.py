@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import tempfile
-from contextlib import suppress
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -366,34 +366,34 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
     )
     prefixes = [prefix[:-1] for prefix in prefixes]
     values, half, helper = panel.values, len(prefixes) // 2, None
-    try:
+    lines = (_rows.format_values(row.tolist()) for row in values)
+    # Unwound on the way out, also on an error: the helper is killed and
+    # reaped, then its two temporary files are closed.
+    with ExitStack() as temporary:
         if values.size >= SPLIT_VALUES and _usable_cores() > 1 and sys.executable:
             # subprocess takes ~7 ms to import, which only this path needs.
             import subprocess
 
-            # The helper's input is all in a file before it starts, so no pipe fills.
-            with suppress(OSError), tempfile.TemporaryFile() as feed:
-                feed.write(json.dumps(prefixes[half:]).encode() + b"\n")
+            # The helper reads and writes files, never a pipe: a pipe it
+            # writes row by row would make each half wait on the other.
+            with suppress(OSError):
+                feed = temporary.enter_context(tempfile.TemporaryFile())
+                out = temporary.enter_context(tempfile.TemporaryFile())
                 feed.write(np.ascontiguousarray(values[half:]))
                 feed.seek(0)
-                helper = subprocess.Popen(
-                    [sys.executable, "-I", "-S", _rows.__file__],
-                    stdin=feed, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                )
+                helper = temporary.enter_context(subprocess.Popen(
+                    [sys.executable, "-I", "-S", _rows.__file__, str(values.shape[1])],
+                    stdin=feed, stdout=out, stderr=subprocess.DEVNULL,
+                ))
+                temporary.callback(helper.kill)
         with _text_stream(dest, "w") as stream:
             csv.writer(stream, lineterminator="\n").writerow(("date",) + panel.assets)
-            for i, (prefix, row) in enumerate(zip(prefixes, values)):
-                if helper and i == half:
-                    # Read whole before its status, so a failed helper leaves no partial rows.
-                    out = helper.stdout.read()
-                    if helper.wait() == 0:
-                        stream.write(out.decode())
-                        break
-                stream.write(_rows.format_row(prefix, row.tolist()))
-    finally:
-        if helper:
-            with helper:  # closes its pipe and reaps it
-                helper.kill()
+            stream.writelines(map(str.__add__, prefixes[:half], lines))
+            # Only a helper that exited 0 wrote every row, so a failed one leaves no partial rows.
+            if helper and helper.wait() == 0:
+                out.seek(0)
+                lines = io.TextIOWrapper(out, encoding="utf-8", newline="")
+            stream.writelines(map(str.__add__, prefixes[half:], lines))
 
 
 def _usable_cores() -> int:

@@ -8,6 +8,7 @@ the run, so panel cache entries never reach the user's home.
 
 import os
 import shutil
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -27,3 +28,22 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     shutil.rmtree(config.stash[CACHE_HOME], ignore_errors=True)
+
+
+@pytest.fixture()
+def started(monkeypatch):
+    """Every process started during the test, through a recording ``Popen``;
+    the host counts as having two usable cores, so a large panel is written
+    with ``write_panel``'s helper."""
+    from hpca import panel
+
+    procs = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    monkeypatch.setattr(panel, "_usable_cores", lambda: 2)
+    return procs

@@ -67,3 +67,16 @@ def test_write_panel_holds_no_panel_of_text(tmp_path):
         values=np.random.default_rng(4).standard_normal((t, N)),
     )
     assert traced_peak(write_panel, panel, tmp_path / "panel.csv") < panel.values.nbytes
+
+
+def test_write_panel_holds_none_of_the_helpers_text(tmp_path, started):
+    # The helper formats the second half into a file, read back in chunks.
+    t = 2 * SPLIT_VALUES // N
+    panel = ReturnsPanel(
+        dates=tuple(f"d{i}" for i in range(t)),
+        assets=tuple(f"A{i}" for i in range(N)),
+        values=np.random.default_rng(5).standard_normal((t, N)),
+    )
+    peak = traced_peak(write_panel, panel, tmp_path / "panel.csv")
+    assert [proc.returncode for proc in started] == [0]
+    assert peak < panel.values.nbytes

@@ -8,8 +8,8 @@ import math
 import os
 import re
 import shutil
-import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from types import SimpleNamespace
@@ -537,22 +537,6 @@ def reference_text(panel: ReturnsPanel) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.fixture()
-def started(monkeypatch):
-    """Every process started during the test, through a recording ``Popen``;
-    the host counts as having two usable cores."""
-    procs = []
-
-    class Recording(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            procs.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recording)
-    monkeypatch.setattr(panel_module, "_usable_cores", lambda: 2)
-    return procs
-
-
 def finishes(call, seconds=60):
     """``call()``'s exception or None, failing if it runs longer than ``seconds``."""
     outcome = []
@@ -611,6 +595,47 @@ class TestTwoCoreWrite:
         assert buf.getvalue() == reference_text(panel)
         assert len(started) == 1
         assert started[0].returncode not in (0, None)
+
+    def test_helper_failing_after_a_row_leaves_no_partial_rows(self, tmp_path, started, monkeypatch):
+        script = tmp_path / "one_row_then_fail.py"
+        script.write_text("import sys\nsys.stdout.write('1.0\\n')\nsys.exit(1)\n")
+        monkeypatch.setattr(panel_module._rows, "__file__", str(script))
+        panel = big_panel()
+        buf = io.StringIO()
+        write_panel(panel, buf)
+        assert buf.getvalue() == reference_text(panel)
+        assert [proc.returncode for proc in started] == [1]
+
+    def test_no_temporary_directory_gives_the_same_bytes(self, tmp_path, started, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        panel = big_panel()
+        buf = io.StringIO()
+        write_panel(panel, buf)
+        assert buf.getvalue() == reference_text(panel)
+        assert started == []
+
+    # A missing first file is the case above.
+    @pytest.mark.parametrize("failing", [None, 1], ids=["none", "output"])
+    def test_temporary_files_are_closed_and_a_missing_one_is_no_helper(
+        self, started, monkeypatch, failing
+    ):
+        made = []
+
+        def temporary_file():
+            if len(made) == failing:
+                raise OSError("no space left on device")
+            made.append(open_temporary())
+            return made[-1]
+
+        open_temporary = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        panel = big_panel()
+        buf = io.StringIO()
+        write_panel(panel, buf)
+        assert buf.getvalue() == reference_text(panel)
+        assert len(made) == (2 if failing is None else failing)
+        assert all(file.closed for file in made)
+        assert len(started) == (failing is None)
 
     # The header is one write, each first-half row one more, and the helper's half the next.
     @pytest.mark.parametrize("failing_write", [0, 1, 1 + 130], ids=["header", "first-half", "second-half"])
