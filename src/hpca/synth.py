@@ -11,6 +11,7 @@ population matrix is assembled on access, as the tests' exact oracle.
 from __future__ import annotations
 
 import datetime
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -45,7 +46,9 @@ DEFAULT_INTRA = (0.35, 0.30, 0.45, 0.40, 0.30, 0.35, 0.35, 0.40, 0.35, 0.50, 0.4
 
 
 def _check_correlation(matrix: np.ndarray, what: str) -> np.ndarray:
-    m = _checked_correlation(matrix, what, SYMMETRY_TOL)
+    """A read-only copy of a checked correlation matrix, so what was checked cannot change."""
+    m = np.array(_checked_correlation(matrix, what, SYMMETRY_TOL))
+    m.setflags(write=False)
     if float(np.linalg.eigvalsh(m).min()) < PSD_TOL:
         raise InputError(f"{what} is not positive semi-definite")
     return m
@@ -57,6 +60,7 @@ class SectorSpec:
 
     A sector gives a full ``correlation`` matrix or ``equicorrelation``, the
     one off-diagonal level, not both; with neither it is an identity block.
+    A given ``correlation`` is kept as a read-only copy of the checked matrix.
     """
 
     name: str
@@ -105,7 +109,8 @@ class MarketSpec:
     """Full description of a synthetic market.
 
     ``factor_correlation`` is the population correlation matrix of the
-    sectors' leading factors; ``n_periods`` the number of sampled dates.
+    sectors' leading factors, kept as a read-only copy of the checked matrix;
+    ``n_periods`` the number of sampled dates.
     """
 
     sectors: tuple[SectorSpec, ...]
@@ -150,10 +155,24 @@ class MarketSpec:
             assignment=np.repeat(np.arange(self.n_sectors), [s.size for s in self.sectors]),
         )
 
-    @property
+    @functools.cached_property
     def sector_spectra(self) -> tuple[Spectrum, ...]:
-        """Population spectrum of each sector block, decomposed anew on each access."""
+        """Population spectrum of each sector block, decomposed once per spec.
+
+        The spec keeps read-only copies of the matrices it checked, so the
+        decomposition its first access made holds for every later draw.
+        """
         return tuple(sym_eig_sorted(s.block_correlation()) for s in self.sectors)
+
+    @functools.cached_property
+    def _axes(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The dates and asset names of every panel drawn from the spec, built once."""
+        start = datetime.date(2000, 1, 3)
+        days = (start + datetime.timedelta(days=i) for i in range(self.n_periods))
+        names = (
+            f"S{k + 1:02d}A{j + 1:03d}" for k, s in enumerate(self.sectors) for j in range(s.size)
+        )
+        return tuple(day.isoformat() for day in days), tuple(names)
 
     @property
     def population_matrix(self) -> np.ndarray:
@@ -164,19 +183,6 @@ class MarketSpec:
             [_leading_betas(sp) for sp in self.sector_spectra],
             self.factor_correlation,
         )
-
-
-def _asset_names(spec: MarketSpec) -> tuple[str, ...]:
-    return tuple(
-        f"S{k + 1:02d}A{j + 1:03d}"
-        for k, s in enumerate(spec.sectors)
-        for j in range(s.size)
-    )
-
-
-def _date_labels(count: int) -> tuple[str, ...]:
-    start = datetime.date(2000, 1, 3)
-    return tuple((start + datetime.timedelta(days=i)).isoformat() for i in range(count))
 
 
 def _root(spectrum: Spectrum) -> np.ndarray:
@@ -196,7 +202,8 @@ def _correlate(spec: MarketSpec, shocks: np.ndarray) -> np.ndarray:
     shocks[:, starts] = shocks[:, starts] @ factor_root.T
     for start, spectrum in zip(starts.tolist(), spec.sector_spectra):
         block = shocks[:, start : start + spectrum.size]
-        np.matmul(block, _root(spectrum).T, out=block)
+        # Same bits as ``np.matmul(..., out=block)``, without numpy's copy for the overlap.
+        block[...] = block @ _root(spectrum).T
     return shocks
 
 
@@ -212,18 +219,15 @@ def generate(spec: MarketSpec, seed: int | None = None) -> tuple[ReturnsPanel, M
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     shocks = np.random.default_rng(seed).standard_normal((spec.n_periods, spec.n_assets))
-    panel = ReturnsPanel(
-        dates=_date_labels(spec.n_periods),
-        assets=_asset_names(spec),
-        values=_correlate(spec, shocks),
-    )
+    dates, assets = spec._axes
+    panel = ReturnsPanel(dates=dates, assets=assets, values=_correlate(spec, shocks))
     return panel, spec
 
 
 def sector_map_for(spec: MarketSpec) -> dict[str, str]:
     """Asset -> sector mapping matching the generated panel's asset names."""
     sectors = (s.name for s in spec.sectors for _ in range(s.size))
-    return dict(zip(_asset_names(spec), sectors))
+    return dict(zip(spec._axes[1], sectors))
 
 
 def default_market_spec(n_periods: int = 1508, seed: int = 0) -> MarketSpec:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
+from hpca.eigen import sym_eig_sorted
 from hpca.errors import InputError
 from hpca.model import fit_hpca
 from hpca.panel import load_panel, standardize, write_panel
@@ -373,6 +374,78 @@ class TestSpecValidation:
         read_back = SectorPartition.from_mapping(panel.assets, mapping)
         assert read_back.labels == truth.partition.labels
         assert np.array_equal(read_back.assignment, truth.partition.assignment)
+
+
+def two_block_market(block, factor_correlation):
+    return MarketSpec(
+        sectors=(SectorSpec("a", 4, correlation=block), SectorSpec("b", 3, equicorrelation=0.3)),
+        factor_correlation=factor_correlation,
+        n_periods=40,
+        seed=3,
+    )
+
+
+def spectra_bits(spec):
+    return [(s.eigenvalues.tobytes(), s.eigenvectors.tobytes()) for s in spec.sector_spectra]
+
+
+class TestSpecOwnsItsMatrices:
+    def test_caller_edits_after_building_change_nothing(self):
+        block = helpers.random_correlation(np.random.default_rng(12), 4)
+        fc = np.array([[1.0, 0.6], [0.6, 1.0]])
+        spec = two_block_market(block, fc)
+        reference = two_block_market(block.copy(), fc.copy())
+        # An asymmetric edit, and a symmetric one that breaks positive semi-definiteness.
+        fc[0, 1] = 5.0
+        block[0, 1] = block[1, 0] = -1.0
+        block[0, 2] = block[2, 0] = block[1, 2] = block[2, 1] = 1.0
+        assert spec.factor_correlation.tobytes() == reference.factor_correlation.tobytes()
+        assert spec.sectors[0].correlation.tobytes() == reference.sectors[0].correlation.tobytes()
+        assert spectra_bits(spec) == spectra_bits(reference)
+        assert spec.population_matrix.tobytes() == reference.population_matrix.tobytes()
+        assert generate(spec)[0].values.tobytes() == generate(reference)[0].values.tobytes()
+
+    def test_kept_matrices_are_read_only(self):
+        spec = two_block_market(helpers.random_correlation(np.random.default_rng(12), 4), np.eye(2))
+        for kept in (spec.factor_correlation, spec.sectors[0].correlation):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 2.0
+
+
+# The default market and two custom-correlation markets, each built afresh on every call.
+DRAWN_MARKETS = {
+    "default": lambda: default_market_spec(n_periods=60, seed=4),
+    # Two full correlation blocks around a perfectly correlated one.
+    "random": lambda: helpers.random_market_spec(np.random.default_rng(9)),
+    "market-like": lambda: helpers.market_like_spec(np.random.default_rng(5)),
+}
+
+
+@pytest.mark.parametrize("build", DRAWN_MARKETS.values(), ids=DRAWN_MARKETS)
+class TestDecomposedOnce:
+    def test_only_the_first_draw_decomposes_the_sectors(self, build, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "hpca.synth.sym_eig_sorted", lambda m: calls.append(m.shape) or sym_eig_sorted(m)
+        )
+        spec = build()
+        first, _ = generate(spec)
+        assert len(calls) == spec.n_sectors + 1
+        second, _ = generate(spec)
+        # The one later solve is the b x b factor root.
+        assert calls[spec.n_sectors + 1 :] == [(spec.n_sectors, spec.n_sectors)]
+        assert second.dates is first.dates and second.assets is first.assets
+        fresh, _ = generate(build())
+        for panel in (second, fresh):
+            assert np.array_equal(panel.values.view(np.int64), first.values.view(np.int64))
+
+    def test_population_matrix_after_a_draw_matches_a_fresh_spec(self, build):
+        spec = build()
+        generate(spec)
+        drawn = spec.population_matrix
+        assert np.array_equal(drawn.view(np.int64), build().population_matrix.view(np.int64))
+        assert spectra_bits(spec) == spectra_bits(build())
 
 
 class TestEstimatorConsistency:
