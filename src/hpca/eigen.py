@@ -1,9 +1,11 @@
 """Symmetric eigendecomposition with a fixed ordering and sign convention.
 
-Every eigenvector computation in the package goes through ``sym_eig_sorted``
-so that eigenvalue ordering, tie-breaking, and eigenvector signs are
-identical no matter which module asked for the decomposition. Callers that
-need eigenvalues alone (the residual spectrum) use ``np.linalg.eigvalsh``.
+Every dense eigenvector computation in the package goes through
+``sym_eig_sorted`` so that eigenvalue ordering, tie-breaking, and
+eigenvector signs are identical no matter which module asked for the
+decomposition; the closed-form hierarchical spectrum fixes its signs with
+the same rule. Callers that need eigenvalues alone (the residual spectrum)
+use ``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -120,6 +122,23 @@ def _checked_correlation(matrix, what: str, tol: float) -> np.ndarray:
     return a
 
 
+def _signs(sums: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The package's one eigenvector sign rule: a factor of -1 or 1 for each column of ``vectors``.
+
+    ``sums`` holds the columns' entry sums. A column is negated when its sum
+    is below ``-ZERO_SUM_TOL``; a column whose sum is zero to that tolerance,
+    when its first entry above the tolerance in magnitude is negative.
+    """
+    flip = sums < -ZERO_SUM_TOL
+    zero = np.flatnonzero(np.abs(sums) <= ZERO_SUM_TOL)
+    if zero.size:
+        # A unit n-vector has an entry of size >= n^(-1/2) > ZERO_SUM_TOL.
+        cols = vectors[:, zero]
+        first = (np.abs(cols) > ZERO_SUM_TOL).argmax(axis=0)
+        flip[zero] = cols[first, np.arange(zero.size)] < 0.0
+    return np.where(flip, -1.0, 1.0)
+
+
 def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
     """Decompose a real symmetric matrix deterministically.
 
@@ -156,17 +175,7 @@ def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
         values = values[order]
         vectors = vectors[:, order]
 
-    # Sign rule: entry sum >= 0; when the sum is zero (to ``ZERO_SUM_TOL``),
-    # the first entry of non-negligible magnitude is made positive instead.
-    sums = np.ascontiguousarray(vectors.T).sum(axis=1)
-    flip = sums < -ZERO_SUM_TOL
-    zero = np.flatnonzero(np.abs(sums) <= ZERO_SUM_TOL)
-    if zero.size:
-        # A unit n-vector has an entry of size >= n^(-1/2) > ZERO_SUM_TOL.
-        cols = vectors[:, zero]
-        first = (np.abs(cols) > ZERO_SUM_TOL).argmax(axis=0)
-        flip[zero] = cols[first, np.arange(zero.size)] < 0.0
-    vectors *= np.where(flip, -1.0, 1.0)
+    vectors *= _signs(np.ascontiguousarray(vectors.T).sum(axis=1), vectors)
 
     values.setflags(write=False)
     vectors.setflags(write=False)

@@ -11,13 +11,13 @@ sector eigenvector carried over unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .eigen import Spectrum, _as_numbers, _whole, sym_eig_sorted
+from .eigen import Spectrum, _as_numbers, _signs, _whole, sym_eig_sorted
 from .errors import InputError, NumericalError
 from .panel import StandardizedPanel, _gram_correlation
 from .sectors import SectorModel, SectorPartition, fit_all_sectors
@@ -115,9 +115,9 @@ class LabeledSpectrum(Spectrum):
 def _assemble_spectrum(
     partition: SectorPartition,
     sector_spectra: Sequence[Spectrum],
-    mixing: Spectrum,
+    mixing: FactorCovariance,
     assets: Sequence[str],
-) -> LabeledSpectrum:
+) -> tuple[LabeledSpectrum, FactorCovariance]:
     """Assemble the full labeled spectrum analytically.
 
     ``mixing`` is the spectrum of the b x b scaled-factor covariance. The b
@@ -126,6 +126,11 @@ def _assemble_spectrum(
     eigenpairs embed unchanged. Entries are merged in decreasing eigenvalue
     order, multi-sector first on exact ties, then by sector and order within
     the sector.
+
+    Each multi-sector vector takes ``sym_eig_sorted``'s sign rule, read from
+    its entry sum ``sum_k m_k sum(v_1k)`` in b-space. The mixing comes back
+    beside the spectrum with the same columns negated, so that each
+    multi-sector vector is still the embedded leading vectors times its column.
     """
     b = partition.n_sectors
     n = partition.n_assets
@@ -147,18 +152,24 @@ def _assemble_spectrum(
         members = partition.members(k)
         leading[members, k] = spec.eigenvectors[:, 0]
         vectors[np.ix_(members, column[b:][sector == k])] = spec.eigenvectors[:, 1:]
-    vectors[:, column[:b]] = leading @ mixing.eigenvectors
+    multi = leading @ mixing.eigenvectors
+    leading_sums = np.array([spec.eigenvectors[:, 0].sum() for spec in sector_spectra])
+    signs = _signs(leading_sums @ mixing.eigenvectors, multi)
+    vectors[:, column[:b]] = multi * signs
+    mixing = replace(mixing, eigenvectors=mixing.eigenvectors * signs)
+    mixing.eigenvectors.setflags(write=False)
 
     labels = [SpectrumLabel(kind=MULTI_SECTOR, rank=r + 1) for r in range(b)] + [
         SpectrumLabel(kind=SECTOR, sector=partition.labels[k], order=j + 1)
         for k, j in zip(sector.tolist(), order.tolist())
     ]
-    return LabeledSpectrum(
+    spectrum = LabeledSpectrum(
         assets=tuple(assets),
         eigenvalues=values[rank],
         eigenvectors=vectors,
         labels=tuple(labels[i] for i in rank),
     )
+    return spectrum, mixing
 
 
 @dataclass
@@ -195,12 +206,13 @@ def fit_hpca(panel: StandardizedPanel, partition: SectorPartition) -> HpcaModel:
     models = fit_all_sectors(panel, partition)
     rho = _inter_sector_corr(np.column_stack([m.factor for m in models]))
     factor_cov = _build_factor_cov([m.eigenvalues[0] for m in models], rho)
+    spectrum, factor_cov = _assemble_spectrum(partition, models, factor_cov, panel.assets)
     return HpcaModel(
         partition=partition,
         sector_models=models,
         factor_corr=rho,
         factor_cov=factor_cov,
-        spectrum=_assemble_spectrum(partition, models, factor_cov, panel.assets),
+        spectrum=spectrum,
     )
 
 

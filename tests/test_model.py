@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from hpca.eigen import Spectrum, sym_eig_sorted
+from hpca.eigen import ZERO_SUM_TOL, Spectrum, sym_eig_sorted
 from hpca.errors import InputError, NumericalError
 from hpca.model import (
     MULTI_SECTOR,
@@ -60,7 +60,7 @@ def tied_parts():
 
 
 def tied_spectrum():
-    return _assemble_spectrum(*tied_parts(), ("a", "b", "c"))
+    return _assemble_spectrum(*tied_parts(), ("a", "b", "c"))[0]
 
 
 def _market(sectors, factor_corr, n_periods):
@@ -124,7 +124,7 @@ def population_spectrum(spec):
     cov = _build_factor_cov([sp.eigenvalues[0] for sp in spectra], spec.factor_correlation)
     return _assemble_spectrum(
         spec.partition, spectra, cov, tuple(f"A{i}" for i in range(spec.n_assets))
-    )
+    )[0]
 
 
 def assert_matches_dense(matrix, spectrum):
@@ -265,7 +265,7 @@ class TestSpectrumAssembly:
         partition, blocks, betas, rho = four_asset_parts()
         spectra = [sym_eig_sorted(block) for block in blocks]
         cov = _build_factor_cov([sp.eigenvalues[0] for sp in spectra], rho)
-        labeled = _assemble_spectrum(partition, spectra, cov, ("a", "b", "c", "d"))
+        labeled, _ = _assemble_spectrum(partition, spectra, cov, ("a", "b", "c", "d"))
         np.testing.assert_allclose(labeled.eigenvalues, [3.0, 1.0, 0.0, 0.0], atol=1e-12)
         kinds = [lab.kind for lab in labeled.labels]
         assert kinds == [MULTI_SECTOR, MULTI_SECTOR, SECTOR, SECTOR]
@@ -301,7 +301,7 @@ class TestSpectrumAssembly:
             mixing = _build_factor_cov([sp.eigenvalues[0] for sp in spectra], np.eye(6))
             parts = (spec.partition, spectra, mixing)
             assets = tuple(f"A{i}" for i in range(spec.n_assets))
-        labeled = _assemble_spectrum(*parts, assets)
+        labeled, _ = _assemble_spectrum(*parts, assets)
         partition, spectra, mixing = parts
         # The reference: by value, then multi-sector first, then by sector and
         # order, as a lexsort over explicit keys.
@@ -526,6 +526,69 @@ def first_rank(a, b):
         np.ones(n), np.ones(n), np.column_stack([a, rest]), np.column_stack([b, rest])
     )
     return build_comparison(plain, hier, assets, top_k=1).rows[0]
+
+
+def sign_rule_markets():
+    """The seed-7 default market, the edge markets and 30 random ones, each with a seed."""
+    rng = np.random.default_rng(30)
+    return [(default_market_spec(), 7), *((spec, None) for spec in EDGE_MARKETS.values())] + [
+        (helpers.random_market_spec(rng), None) for _ in range(30)
+    ]
+
+
+def assert_sign_rule(vectors):
+    """Each column's entry sum is positive; or, zero to ``ZERO_SUM_TOL``, its first large entry."""
+    sums = vectors.sum(axis=0)
+    zero = np.abs(sums) <= ZERO_SUM_TOL
+    assert (sums[~zero] > 0.0).all(), np.flatnonzero(sums < -ZERO_SUM_TOL)
+    for column in vectors[:, zero].T:
+        assert column[np.flatnonzero(np.abs(column) > ZERO_SUM_TOL)[0]] > 0.0
+
+
+class TestSignRule:
+    """The closed form's eigenvectors take ``sym_eig_sorted``'s sign rule."""
+
+    def test_fitted_and_population_columns_follow_the_rule(self):
+        for spec, seed in sign_rule_markets():
+            panel, model = helpers.fit_from_spec(spec, seed)
+            assert_sign_rule(model.spectrum.eigenvectors)
+            assert_sign_rule(population_spectrum(spec).eigenvectors)
+
+    def test_separated_columns_agree_with_the_dense_solve(self):
+        for spec, seed in sign_rule_markets():
+            panel, model = helpers.fit_from_spec(spec, seed)
+            values, vectors = model.spectrum.eigenvalues, model.spectrum.eigenvectors
+            dense = sym_eig_sorted(model.matrix).eigenvectors
+            scale = max(1.0, float(values[0]))
+            for cluster in helpers.eigen_clusters(values, 1e-7 * scale):
+                if len(cluster) == 1:
+                    assert vectors[:, cluster[0]] @ dense[:, cluster[0]] > 0.0
+
+    @pytest.mark.parametrize("name", ["default", "all-singletons", "opposite-factors"])
+    def test_model_json_rebuilds_every_eigenvector(self, tmp_path, name):
+        spec, seed = (default_market_spec(), 7) if name == "default" else (EDGE_MARKETS[name], None)
+        panel, model = helpers.fit_from_spec(spec, seed)
+        save_model(model, tmp_path, vectors=model.n_assets)
+        doc = load_model_dict(tmp_path)
+        row = {asset: i for i, asset in enumerate(doc["assets"])}
+        blocks = [
+            ([row[a] for a in m["assets"]], np.array(m["eigenvectors"]))
+            for m in doc["sector_models"]
+        ]
+        leading = np.zeros((len(row), len(blocks)))
+        for k, (rows, vectors) in enumerate(blocks):
+            leading[rows, k] = vectors[:, 0]
+        mixing = np.array(doc["factor_cov_eigenvectors"])
+        rebuilt = np.zeros((len(row), len(doc["spectrum"])))
+        for j, entry in enumerate(doc["spectrum"]):
+            if entry["kind"] == MULTI_SECTOR:
+                rebuilt[:, j] = leading @ mixing[:, entry["rank"] - 1]
+            else:
+                rows, vectors = blocks[doc["sectors"].index(entry["sector"])]
+                rebuilt[rows, j] = vectors[:, entry["order"] - 1]
+        with open(tmp_path / "eigenvectors.csv", newline="", encoding="utf-8") as fh:
+            table = np.array([line[1:] for line in list(csv.reader(fh))[1:]], dtype=float)
+        np.testing.assert_allclose(table, rebuilt, rtol=0.0, atol=1e-14)
 
 
 class TestCompareEigenvectors:
