@@ -175,7 +175,7 @@ def sym_eig_sorted(matrix: np.ndarray) -> Spectrum:
         values = values[order]
         vectors = vectors[:, order]
 
-    vectors *= _signs(np.ascontiguousarray(vectors.T).sum(axis=1), vectors)
+    vectors *= _signs(vectors.sum(axis=0), vectors)
 
     values.setflags(write=False)
     vectors.setflags(write=False)

@@ -353,9 +353,9 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
     """Write a panel as comma-delimited text, the format ``load_panel`` reads.
 
     Values are written with full round-trip precision, so a write/load
-    cycle reproduces the panel bit for bit. With more than one usable core,
-    a panel of ``SPLIT_VALUES`` values or more has the second half of its
-    rows formatted meanwhile by a helper interpreter, to the same bytes.
+    cycle reproduces the panel bit for bit. A panel of ``SPLIT_VALUES``
+    values or more has the second half of its rows formatted meanwhile by a
+    helper interpreter, to the same bytes.
     """
     # A float's repr never needs quoting, so only the header and the dates go
     # through csv. Each date is written as the first of two cells, which
@@ -370,7 +370,7 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
     # Unwound on the way out, also on an error: the helper is killed and
     # reaped, then its two temporary files are closed.
     with ExitStack() as temporary:
-        if values.size >= SPLIT_VALUES and _usable_cores() > 1 and sys.executable:
+        if values.size >= SPLIT_VALUES and sys.executable:
             # subprocess takes ~7 ms to import, which only this path needs.
             import subprocess
 
@@ -394,10 +394,6 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
                 out.seek(0)
                 lines = io.TextIOWrapper(out, encoding="utf-8", newline="")
             stream.writelines(map(str.__add__, prefixes[half:], lines))
-
-
-def _usable_cores() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def standardize(panel: ReturnsPanel) -> StandardizedPanel:

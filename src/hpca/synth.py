@@ -54,13 +54,14 @@ def _check_correlation(matrix: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorSpec:
     """One sector's size and intra-block correlation structure, checked when built.
 
     A sector gives a full ``correlation`` matrix or ``equicorrelation``, the
     one off-diagonal level, not both; with neither it is an identity block.
     A given ``correlation`` is kept as a read-only copy of the checked matrix.
+    A sector, like a ``MarketSpec``, equals only itself.
     """
 
     name: str
@@ -104,13 +105,13 @@ class SectorSpec:
         return block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketSpec:
-    """Full description of a synthetic market.
+    """Full description of a synthetic market, equal only to itself.
 
-    ``factor_correlation`` is the population correlation matrix of the
-    sectors' leading factors, kept as a read-only copy of the checked matrix;
-    ``n_periods`` the number of sampled dates.
+    ``sectors`` is kept as a tuple and ``factor_correlation``, the population
+    correlation matrix of the sectors' leading factors, as a read-only copy
+    of the checked matrix; ``n_periods`` is the number of sampled dates.
     """
 
     sectors: tuple[SectorSpec, ...]
@@ -125,6 +126,7 @@ class MarketSpec:
             isinstance(s, SectorSpec) for s in self.sectors
         ):
             raise InputError(f"sectors must be a sequence of SectorSpec, got {self.sectors!r}")
+        object.__setattr__(self, "sectors", tuple(self.sectors))
         if not self.sectors:
             raise InputError("market spec needs at least one sector")
         names = [s.name for s in self.sectors]

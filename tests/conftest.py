@@ -32,11 +32,7 @@ def pytest_unconfigure(config):
 
 @pytest.fixture()
 def started(monkeypatch):
-    """Every process started during the test, through a recording ``Popen``;
-    the host counts as having two usable cores, so a large panel is written
-    with ``write_panel``'s helper."""
-    from hpca import panel
-
+    """Every process started during the test, through a recording ``Popen``."""
     procs = []
 
     class Recording(subprocess.Popen):
@@ -45,5 +41,4 @@ def started(monkeypatch):
             procs.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", Recording)
-    monkeypatch.setattr(panel, "_usable_cores", lambda: 2)
     return procs

@@ -118,6 +118,31 @@ EDGE_MARKETS = {
 }
 
 
+def _column_sum_cases():
+    """Matrices for the column-sum test: every edge market's population matrix and
+    sector blocks, random symmetric matrices and exactly tied spectra."""
+    rng = np.random.default_rng(31)
+    for name, spec in EDGE_MARKETS.items():
+        yield pytest.param(spec.population_matrix, id=name)
+        for sector in spec.sectors:
+            yield pytest.param(sector.block_correlation(), id=f"{name}-{sector.name}")
+    for n in (1, 2, 3, 7, 50, 168, 462):
+        a = rng.standard_normal((n, n))
+        yield pytest.param(a + a.T, id=f"random-{n}")
+    yield pytest.param(np.eye(6), id="identity")
+    yield pytest.param(np.kron(np.eye(3), [[1.0, 0.4], [0.4, 1.0]]), id="repeated-blocks")
+
+
+@pytest.mark.parametrize("matrix", _column_sum_cases())
+def test_column_sums_of_the_f_ordered_vectors_match_the_transposed_copy(matrix):
+    # ``sym_eig_sorted`` reads its sign rule's column sums from the F-ordered
+    # vectors it returns (the tied cases through its gather); a C-ordered copy
+    # of their transpose gives the same bits. The sign rule's negation is exact.
+    vectors = sym_eig_sorted(matrix).eigenvectors
+    assert vectors.flags.f_contiguous
+    assert vectors.sum(axis=0).tobytes() == np.ascontiguousarray(vectors.T).sum(axis=1).tobytes()
+
+
 def population_spectrum(spec):
     """The closed-form spectrum of ``spec.population_matrix``."""
     spectra = spec.sector_spectra

@@ -572,10 +572,6 @@ class TestTwoCoreWrite:
         write_panel(panel, io.StringIO())
         assert started == []
 
-    def test_usable_cores_are_those_this_process_may_run_on(self):
-        expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert panel_module._usable_cores() == expected
-
     @pytest.mark.parametrize("executable", ["missing", ""])
     def test_unstartable_helper_gives_the_same_bytes(
         self, tmp_path, started, monkeypatch, executable

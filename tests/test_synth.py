@@ -405,12 +405,47 @@ class TestSpecOwnsItsMatrices:
         assert spec.population_matrix.tobytes() == reference.population_matrix.tobytes()
         assert generate(spec)[0].values.tobytes() == generate(reference)[0].values.tobytes()
 
+    def test_caller_edits_to_a_sector_list_after_a_draw_change_nothing(self):
+        def sectors():
+            return [SectorSpec("a", 3, 0.4), SectorSpec("b", 2, 0.2)]
+
+        def build(secs):
+            return MarketSpec(sectors=secs, factor_correlation=[[1, 0.3], [0.3, 1]], n_periods=50, seed=1)
+
+        secs = sectors()
+        spec, reference = build(secs), build(sectors())
+        first = generate(spec)[0].values.tobytes()
+        kept = spec.sectors
+        for edit in (SectorSpec("b", 2, 0.9), SectorSpec("b", 4, 0.2)):
+            secs[1] = edit
+            assert isinstance(spec.sectors, tuple) and spec.sectors == kept
+            assert generate(spec)[0].values.tobytes() == first == generate(reference)[0].values.tobytes()
+            assert spec.population_matrix.tobytes() == reference.population_matrix.tobytes()
+
     def test_kept_matrices_are_read_only(self):
         spec = two_block_market(helpers.random_correlation(np.random.default_rng(12), 4), np.eye(2))
         for kept in (spec.factor_correlation, spec.sectors[0].correlation):
             assert not kept.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 kept[0, 0] = 2.0
+
+
+class TestIdentity:
+    """A spec equals only itself and hashes by identity, though it may hold numpy arrays."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            default_market_spec,
+            lambda: SectorSpec("a", 3, 0.4),
+            lambda: SectorSpec("a", 2, correlation=np.eye(2)),
+        ],
+        ids=["market", "equicorrelation-sector", "matrix-sector"],
+    )
+    def test_a_spec_equals_only_itself(self, build):
+        spec, twin = build(), build()
+        assert spec == spec and spec != twin
+        assert {spec: 1, twin: 2}[spec] == 1
 
 
 # The default market and two custom-correlation markets, each built afresh on every call.
