@@ -134,10 +134,10 @@ def _column_sum_cases():
 
 
 @pytest.mark.parametrize("matrix", _column_sum_cases())
-def test_column_sums_of_the_f_ordered_vectors_match_the_transposed_copy(matrix):
+def test_column_sums_of_the_f_ordered_vectors_match_their_transpose(matrix):
     # ``sym_eig_sorted`` reads its sign rule's column sums from the F-ordered
-    # vectors it returns (the tied cases through its gather); a C-ordered copy
-    # of their transpose gives the same bits. The sign rule's negation is exact.
+    # vectors it returns (the tied cases through its gather); summing their
+    # C-ordered transpose by rows gives the same bits. The sign rule's negation is exact.
     vectors = sym_eig_sorted(matrix).eigenvectors
     assert vectors.flags.f_contiguous
     assert vectors.sum(axis=0).tobytes() == np.ascontiguousarray(vectors.T).sum(axis=1).tobytes()
