@@ -6,7 +6,6 @@ one line of values per row on stdout, written row by row. Both are files.
 """
 
 import sys
-from array import array
 
 
 def format_values(row) -> str:
@@ -16,7 +15,7 @@ def format_values(row) -> str:
 
 if __name__ == "__main__":
     width = int(sys.argv[1])
-    values = array("d", sys.stdin.buffer.read())
+    values = memoryview(sys.stdin.buffer.read()).cast("d")
     sys.stdout.buffer.writelines(
         format_values(values[i : i + width]).encode() for i in range(0, len(values), width)
     )

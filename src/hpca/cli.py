@@ -235,7 +235,3 @@ def _linalg_errors() -> tuple[type[Exception], ...]:
     """numpy's ``LinAlgError`` if a handler loaded numpy; ``main`` loads none."""
     numpy = sys.modules.get("numpy")
     return (numpy.linalg.LinAlgError,) if numpy else ()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,8 +21,7 @@ from .eigen import Spectrum, _as_numbers, _signs, _whole, sym_eig_sorted
 from .errors import InputError, NumericalError
 from .panel import StandardizedPanel, _gram_correlation
 from .sectors import SectorModel, SectorPartition, fit_all_sectors
-# ``load_model_dict`` lives with the numpy-free helpers, for ``hpca spectrum``.
-from .textio import MODEL_FILENAME, _dump_json, _write_rows, load_model_dict
+from .textio import MODEL_FILENAME, _dump_json, _write_rows
 
 MULTI_SECTOR = "multi-sector"
 SECTOR = "sector"

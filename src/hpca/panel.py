@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ import numpy as np
 from . import _rows
 from .eigen import _as_numbers, _checked_correlation, _labels, _whole
 from .errors import InputError
-from .textio import _not_utf8, _text_stream
+from .textio import _not_utf8, _text_stream, _write_rows
 
 # Cell contents treated as a missing observation (case-insensitive).
 MISSING_TOKENS = frozenset({"", "na", "nan", "null", "n/a"})
@@ -194,7 +195,8 @@ def _parse_panel(stream: TextIO) -> ReturnsPanel:
     if not first:
         raise InputError("empty input: no header row")
     delimiter = "\t" if "\t" in first else ","
-    header = next(csv.reader([first], delimiter=delimiter))
+    # The header is one csv record, which may run past the first line.
+    header = next(csv.reader(itertools.chain([first], stream), delimiter=delimiter))
     if len(header) < 2:
         raise InputError("header must contain a date column and at least one asset")
     assets = tuple(name.strip() for name in header[1:])
@@ -358,13 +360,12 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
     helper interpreter, to the same bytes.
     """
     # A float's repr never needs quoting, so only the header and the dates go
-    # through csv. Each date is written as the first of two cells, which
-    # gives it quoted as in a full row, followed by its delimiter.
-    prefixes: list[str] = []
-    csv.writer(SimpleNamespace(write=prefixes.append), lineterminator="\n").writerows(
-        (date, "") for date in panel.dates
-    )
-    prefixes = [prefix[:-1] for prefix in prefixes]
+    # through csv, one line per write. Each date is written as the first of
+    # two cells, which gives it quoted as in a full row, then its delimiter.
+    made: list[str] = []
+    rows = ((date, "") for date in panel.dates)
+    _write_rows(SimpleNamespace(write=made.append), ("date",) + panel.assets, rows)
+    header, prefixes = made[0], [prefix[:-1] for prefix in made[1:]]
     values, half, helper = panel.values, len(prefixes) // 2, None
     lines = (_rows.format_values(row.tolist()) for row in values)
     # Unwound on the way out, also on an error: the helper is killed and
@@ -387,7 +388,7 @@ def write_panel(panel: ReturnsPanel, dest: str | Path | TextIO) -> None:
                 ))
                 temporary.callback(helper.kill)
         with _text_stream(dest, "w") as stream:
-            csv.writer(stream, lineterminator="\n").writerow(("date",) + panel.assets)
+            stream.write(header)
             stream.writelines(map(str.__add__, prefixes[:half], lines))
             # Only a helper that exited 0 wrote every row, so a failed one leaves no partial rows.
             if helper and helper.wait() == 0:

@@ -7,6 +7,7 @@ import csv
 import json
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, TextIO
 
 from .errors import InputError
@@ -51,9 +52,12 @@ def _load_json(path: str | Path, what: str):
 
 
 def _write_rows(dest: str | Path | TextIO, header, rows) -> None:
-    """Write a header and rows as comma-delimited UTF-8 text, quoting cells as needed."""
+    """Write a header and rows as comma-delimited UTF-8 text: the package's one CSV writer."""
     with _text_stream(dest, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
+        # Rows made ending in "\r\n" have a cell holding "\r" or "\n" quoted;
+        # each is written cut to "\n", in one write.
+        cut = SimpleNamespace(write=lambda row: stream.write(row[:-2] + "\n"))
+        writer = csv.writer(cut, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
 

@@ -22,13 +22,13 @@ from hpca.model import (
     _inter_sector_corr,
     eigenportfolio_series,
     fit_hpca,
-    load_model_dict,
     save_model,
 )
 from hpca.panel import ReturnsPanel, correlation, standardize
 from hpca.report import build_comparison
 from hpca.sectors import SectorPartition
 from hpca.synth import MarketSpec, SectorSpec, default_market_spec, generate
+from hpca.textio import load_model_dict
 
 
 def raw_panel(values) -> ReturnsPanel:

@@ -19,6 +19,7 @@ import pytest
 
 from hpca import panel as panel_module
 from hpca.errors import InputError
+from hpca.model import VECTORS_FILENAME, fit_hpca, save_model
 from hpca.panel import (
     CorrelationMatrix,
     ReturnsPanel,
@@ -29,6 +30,8 @@ from hpca.panel import (
     standardize,
     write_panel,
 )
+from hpca.sectors import SectorPartition, load_sector_map
+from hpca.textio import _write_rows
 
 
 def make_panel(values, assets=None) -> ReturnsPanel:
@@ -923,13 +926,14 @@ class TestReturnsPanelValidation:
         values = np.random.default_rng(8).standard_normal((len(dates), 3)) * 10.0 ** np.arange(-7, 8, 7)
         values[0] = [-0.0, 5e-324, 1e300]
         panel = ReturnsPanel(dates=dates, assets=("A,1", 'B"', "C"), values=values)
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
+        # Rows made ending in "\r\n" have a cell holding "\r" quoted; each is cut to "\n".
+        rows = []
+        writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
         writer.writerow(("date",) + panel.assets)
         writer.writerows([date, *map(repr, row)] for date, row in zip(dates, values.tolist()))
         buf = io.StringIO()
         write_panel(panel, buf)
-        assert buf.getvalue() == expected.getvalue()
+        assert buf.getvalue() == "".join(row.removesuffix("\r\n") + "\n" for row in rows)
 
     def test_write_panel_to_stream(self):
         panel = make_panel([[0.5, -0.25], [1.5, 0.125]])
@@ -938,3 +942,44 @@ class TestReturnsPanelValidation:
         text = buf.getvalue()
         assert text.startswith("date,A0,A1\n")
         assert "0.5" in text
+
+
+# Labels that csv quotes or that look like a missing cell. The line breaks are
+# inside, since ``load_panel`` strips the ends of a label.
+QUOTED_LABELS = ("c\rd", "p\nq", "x\r\ny", 'say "hi"', "a,b", "NA", "é")
+
+
+def labelled_panel(t: int, n: int) -> ReturnsPanel:
+    """A panel whose first assets and every other date, in both halves of its rows,
+    are ``QUOTED_LABELS``."""
+    k = len(QUOTED_LABELS)
+    dates = tuple(QUOTED_LABELS[i // 2 % k] if i % 2 == 0 else f"d{i}" for i in range(t))
+    assets = QUOTED_LABELS + tuple(f"A{j}" for j in range(k, n))
+    return ReturnsPanel(dates, assets, np.random.default_rng(34).standard_normal((t, n)))
+
+
+@pytest.mark.parametrize("trip", ["panel", "split panel", "sector map", "eigenvectors"])
+def test_quoted_labels_round_trip(trip, tmp_path, cache, started):
+    """A label holding a line break, a quote, a comma or a missing token, used
+    as a date and as an asset name, reads back as written."""
+    path = tmp_path / "table.csv"
+    if trip == "sector map":
+        _write_rows(path, ("asset", "sector"), [(label, label) for label in QUOTED_LABELS])
+        assert load_sector_map(path) == {label: label for label in QUOTED_LABELS}
+        return
+    panel = labelled_panel(*((260, 256) if trip == "split panel" else (14, 7)))
+    if trip == "eigenvectors":
+        partition = SectorPartition(("s", "t"), [0, 0, 0, 1, 1, 1, 1])
+        save_model(fit_hpca(standardize(panel), partition), tmp_path, vectors=1)
+        with open(tmp_path / VECTORS_FILENAME, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == list(panel.assets)
+        return
+    buf = io.StringIO()
+    write_panel(panel, buf)
+    assert_same_panel(load_panel(io.StringIO(buf.getvalue(), newline="")), panel)
+    write_panel(panel, path)
+    assert_same_panel(load_panel(path), panel)  # cold: parsed, then cached
+    assert_same_panel(load_panel(path), panel)  # a cache hit
+    assert len(cache.parses) == 2 and len(list(cache.dir.iterdir())) == 1
+    assert len(started) == (2 if trip == "split panel" else 0)
